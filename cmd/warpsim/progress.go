@@ -107,7 +107,11 @@ func decisionLine(d *warp.Decision) string {
 	if d == nil {
 		return ""
 	}
-	line := fmt.Sprintf("decision: backend %s (%s); predicted sim %s", d.Backend, d.Reason,
+	reason := d.Reason
+	if d.Detail != "" {
+		reason += ": " + d.Detail
+	}
+	line := fmt.Sprintf("decision: backend %s (%s); predicted sim %s", d.Backend, reason,
 		time.Duration(d.PredictedSimWallNS).Round(time.Microsecond))
 	if d.PredictedFastWallNS > 0 {
 		line += fmt.Sprintf(", fast %s", time.Duration(d.PredictedFastWallNS).Round(time.Microsecond))

@@ -1,9 +1,12 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
+	"warp/internal/hostgen"
 	"warp/internal/obs"
+	"warp/internal/w2"
 	"warp/internal/workloads"
 )
 
@@ -83,21 +86,35 @@ func TestDecisionReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A verified program whose host program feeds cell 0 fewer words
+	// than it receives: the plan build rejects it, so auto falls back
+	// to the simulator and names the build error.
+	noPlan, err := Compile(workloads.Polynomial(10, 50), Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: noPlan.Host.Out}
+	for ch, seq := range noPlan.Host.In {
+		short.In[ch] = seq[:len(seq)/2]
+	}
+	noPlan.Host = short
 	cases := []struct {
 		name        string
 		c           *Compiled
 		o           RunOptions
 		wantBackend string
 		wantReason  string
-		wantFast    bool // fast-side prediction must be present
+		wantFast    bool   // fast-side prediction must be present
+		wantDetail  string // substring of the decision detail; "" = none
 	}{
-		{"auto-verified", verified, RunOptions{}, BackendFast, "auto-verified", true},
-		{"auto-unverified", unverified, RunOptions{}, BackendSim, "unverified", false},
-		{"auto-profile", verified, RunOptions{Profile: true}, BackendSim, "profile-requested", true},
-		{"auto-recorder", verified, RunOptions{Recorder: &countingRec{}}, BackendSim, "cycle-recorder", true},
-		{"explicit-sim", verified, RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim", true},
-		{"explicit-sim-unverified", unverified, RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim", false},
-		{"explicit-fast", verified, RunOptions{Backend: BackendFast}, BackendFast, "explicit-fast", true},
+		{"auto-verified", verified, RunOptions{}, BackendFast, "auto-verified", true, ""},
+		{"auto-unverified", unverified, RunOptions{}, BackendSim, "unverified", false, ""},
+		{"auto-profile", verified, RunOptions{Profile: true}, BackendSim, "profile-requested", true, ""},
+		{"auto-recorder", verified, RunOptions{Recorder: &countingRec{}}, BackendSim, "cycle-recorder", true, ""},
+		{"explicit-sim", verified, RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim", true, ""},
+		{"explicit-sim-unverified", unverified, RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim", false, ""},
+		{"explicit-fast", verified, RunOptions{Backend: BackendFast}, BackendFast, "explicit-fast", true, ""},
+		{"auto-no-fast-plan", noPlan, RunOptions{}, BackendSim, "no-fast-plan", false, "the host program supplies"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,6 +133,9 @@ func TestDecisionReasons(t *testing.T) {
 			}
 			if !tc.wantFast && d.PredictedOps != 0 {
 				t.Errorf("unexpected fast-side prediction: ops=%d", d.PredictedOps)
+			}
+			if tc.wantDetail == "" && d.Detail != "" || !strings.Contains(d.Detail, tc.wantDetail) {
+				t.Errorf("detail = %q, want it to name %q", d.Detail, tc.wantDetail)
 			}
 		})
 	}

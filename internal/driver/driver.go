@@ -184,7 +184,7 @@ func (c *Compiled) FullInfo() (*w2.Info, error) {
 
 // FastPlan returns the compiled program's fast-execution plan, building
 // and caching it on first call.  The plan is immutable and shared; a
-// program the trace compiler cannot represent returns the build error
+// program the plan builder rejects returns the build error
 // on every call.
 func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 	c.fastOnce.Do(func() {
@@ -547,28 +547,29 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 	}
 	d.PredictedSimWallNS = model.PredictSimNS(d.PredictedCycles, c.Cells)
 	// fillFast completes the fast-executor side of the prediction; it
-	// needs the trace length, so it builds (and caches) the fast plan.
-	fillFast := func() bool {
+	// needs the dynamic operation count, so it builds (and caches) the
+	// fast plan.  The build error, if any, is returned.
+	fillFast := func() error {
 		plan, err := c.FastPlan()
 		if err != nil {
-			return false
+			return err
 		}
 		d.PredictedOps = int64(plan.Ops()) * int64(c.Cells)
 		d.PredictedFastWallNS = model.PredictFastNS(d.PredictedOps)
-		return true
+		return nil
 	}
 	switch b := o.Backend; b {
 	case "", BackendAuto:
 		// The fast path models cycles instead of observing them, so any
 		// run that wants per-cycle instrumentation stays on the
 		// simulator; so does an unverified program (no proofs, no
-		// shortcut) or one whose trace cannot be built.  Phase-only
+		// shortcut) or one whose plan cannot be built.  Phase-only
 		// recorders (request-trace span adapters) see nothing at run
 		// time and do not block the fast path.
 		switch {
 		case c.Verified == nil:
 			// No plan build for the prediction either: an unverified
-			// program earns no trace-compilation work.
+			// program earns no plan-compilation work.
 			d.Backend, d.Reason = BackendSim, "unverified"
 		case o.Profile:
 			d.Backend, d.Reason = BackendSim, "profile-requested"
@@ -576,10 +577,12 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		case obs.CycleObserved(o.Recorder):
 			d.Backend, d.Reason = BackendSim, "cycle-recorder"
 			fillFast()
-		case !fillFast():
-			d.Backend, d.Reason = BackendSim, "no-fast-plan"
 		default:
-			d.Backend, d.Reason = BackendFast, "auto-verified"
+			if err := fillFast(); err != nil {
+				d.Backend, d.Reason, d.Detail = BackendSim, "no-fast-plan", err.Error()
+			} else {
+				d.Backend, d.Reason = BackendFast, "auto-verified"
+			}
 		}
 	case BackendSim:
 		d.Backend, d.Reason = BackendSim, "explicit-sim"
@@ -590,8 +593,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		if c.Verified == nil {
 			return "", nil, fmt.Errorf("backend %q: %w", b, ErrUnverified)
 		}
-		if !fillFast() {
-			_, err := c.FastPlan()
+		if err := fillFast(); err != nil {
 			return "", nil, fmt.Errorf("backend %q: %w", b, err)
 		}
 		d.Backend, d.Reason = BackendFast, "explicit-fast"

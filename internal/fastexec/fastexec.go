@@ -7,20 +7,46 @@
 // tracked.  For a *verified* program all of that re-derives guarantees
 // the static verifier has already proven — queues never under- or
 // overflow, every address and loop signal arrives on time, the machine
-// never stalls.  This package exploits those proofs: it compiles the
-// representative cell's microcode into a flat trace of the non-nop
-// microinstructions with every memory address and loop-control signal
-// resolved ahead of time (the IU microprogram is emulated exactly
-// once), then replays the trace per cell directly over host slices.
+// never stalls.  This package exploits those proofs.
 //
-// The replay is bit-exact with the simulator:
+// A plan mirrors the structure of the cell microprogram rather than
+// unrolling it, so its size depends only on the static program, never
+// on trip counts:
+//
+//   - each run of straight-line code becomes a block: a flat array of
+//     its non-nop microinstructions, each stamped with its cycle offset
+//     inside the block.  ALU, literal and memory fields are stored by
+//     value, queue-port steps live in one shared flat slice addressed
+//     by [lo,hi), and nothing in an op is a pointer;
+//   - each counted loop becomes a node with a trip count over a
+//     contiguous range of child nodes;
+//   - every memory reference resolves its address without the IU: as
+//     an affine form base + Σ stride·k over the counters k of its
+//     enclosing loops, or — only for a reference whose address stream
+//     fits no affine form, such as a table-driven bit reversal — as an
+//     index into an explicit per-reference address list.
+//
+// Compile emulates the IU microprogram exactly once, in lock step with
+// a walk of the cell's loop structure, keeping no per-cycle storage: it
+// fits each reference's affine form on the fly and checks every address
+// against that form and the cell memory's range, and it checks every
+// loop-control signal against the sequencer's boundary crossings.  The
+// host stream lengths are checked against closed-form counts.  A
+// program that violates any of these contracts is reported as an error
+// so the caller can fall back to the simulator.  There is no size cap:
+// building a plan takes time linear in the IU program's cycles and
+// memory linear in the static program.
+//
+// Execute walks the node tree per cell, advancing the cell-local cycle
+// t incrementally.  The replay is bit-exact with the simulator:
 //
 //   - Writes land late exactly as in hardware: receives, loads, moves
 //     and literals become visible one cycle after issue, FPU results
 //     after mcode.FPULatency cycles.  A small ring keyed by landing
 //     cycle applies them in (landing cycle, issue order) — the same
 //     order the simulator's pending-write scan produces, including
-//     same-cycle write-after-write resolution.
+//     same-cycle write-after-write resolution and writes still in
+//     flight across a loop back-edge or loop exit.
 //   - Cells execute sequentially left to right.  Data flows rightward
 //     only (the compiler enforces this), so cell i's entire input
 //     streams are known once cell i-1 has run; FIFO pop order is
@@ -35,38 +61,15 @@
 // (the machine is statically scheduled and a verified program never
 // stalls), so the run takes Lead + (Cells-1)·Skew + CellCycles cycles —
 // exactly the count the simulator reports.
-//
-// The package trusts nothing silently: trip counts, stream lengths,
-// address bounds and loop-signal consistency are all checked while the
-// trace is built, and a program that cannot be compiled into a trace
-// (oversized, or violating a build-time contract) is reported as an
-// error so the caller can fall back to the simulator.
 package fastexec
 
 import (
-	"context"
 	"fmt"
+	"math"
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
-	"warp/internal/obs"
-	"warp/internal/sim"
 	"warp/internal/w2"
-)
-
-// maxTraceCycles caps the unrolled trace (and the IU emulation) so a
-// pathological trip-count product cannot exhaust memory building a
-// plan; oversized programs are compile errors and run on the simulator.
-const maxTraceCycles = 1 << 22
-
-// ctxCheckInterval is how often (in executed trace operations) the
-// executor polls ExecConfig.Ctx, mirroring the simulator's bounded
-// cancellation stride.
-const ctxCheckInterval = 1 << 12
-
-const (
-	ringSlots = mcode.FPULatency + 1 // landing cycles in flight are distinct mod this
-	ringSpan  = mcode.FPULatency     // no write lands more than this far ahead
 )
 
 // Program is the static machine configuration a plan is compiled from —
@@ -82,32 +85,74 @@ type Program struct {
 	Lead int64
 }
 
-// ioStep is one pre-resolved queue-port operation.
+// Op field presence bits.
+const (
+	hasAdd uint8 = 1 << iota
+	hasMul
+	hasMov
+	hasLit
+)
+
+// Memory field bits.
+const (
+	memValid uint8 = 1 << iota
+	memStore
+	memExplicit
+)
+
+// aluField is one FPU field, stored by value.
+type aluField struct {
+	code uint8
+	dst  uint8
+	src  [3]uint8
+}
+
+// memField is one memory-port field.  Its address is base plus the
+// terms [termLo, termHi) over the enclosing loop counters; an explicit
+// field indexes the plan's address list with that value instead.
+type memField struct {
+	flags          uint8
+	reg            uint8
+	base           int32
+	termLo, termHi int32
+}
+
+// term is one coefficient of an address form: coef times the counter
+// of the loop at nesting level level.
+type term struct {
+	level int32
+	coef  int32
+}
+
+// ioStep is one queue-port operation.
 type ioStep struct {
 	recv  bool
 	chanY bool
-	reg   mcode.Reg
+	reg   uint8
 }
 
-// memStep is one pre-resolved memory-port operation: the address the IU
-// would have streamed is already bound and bounds-checked.
-type memStep struct {
-	valid bool
-	store bool
-	reg   mcode.Reg
-	addr  int32
-}
-
-// op is one non-nop microinstruction of the trace, stamped with its
-// cell-local issue cycle.
+// op is one non-nop microinstruction of a block, stamped with its cycle
+// offset inside the block.
 type op struct {
-	cycle int64
-	add   *mcode.AluOp
-	mul   *mcode.AluOp
-	mov   *mcode.AluOp
-	lit   *mcode.LitOp
-	mem   [mcode.MemPorts]memStep
-	io    []ioStep
+	off        int32
+	flags      uint8
+	litDst     uint8
+	add        aluField
+	mul        aluField
+	mov        aluField
+	ioLo, ioHi int32
+	mem        [mcode.MemPorts]memField
+	lit        float64
+}
+
+// node is one element of the plan's loop tree.  A block (trips == 0)
+// runs ops[lo:hi] over cycles cycles; a loop runs its body nodes[lo:hi]
+// trips times with its counter at nesting level level.
+type node struct {
+	lo, hi int32
+	level  int32
+	trips  int64
+	cycles int64
 }
 
 // Plan is a compiled execution plan.  It is immutable after Compile and
@@ -117,30 +162,42 @@ type Plan struct {
 	skew, lead int64
 	cellCycles int64
 	cycles     int64 // modeled machine time, closed form
-	ops        []op
 	host       *hostgen.Program
 
-	// Static per-cell dynamic-operation counts over one full trace.
+	nodes    []node
+	top      int32 // nodes[:top] is the program's outermost level
+	depth    int   // deepest loop nesting
+	ops      []op
+	io       []ioStep
+	terms    []term
+	explicit []int32 // per-reference address lists of non-affine references
+
+	counts
+}
+
+// counts are a cell's dynamic operation totals, in closed form over the
+// loop tree.
+type counts struct {
+	dynOps                 int64 // non-nop microinstructions
 	addOps, mulOps, movOps int64
 	loads, stores          int64
-	recvX, recvY           int
-	sendX, sendY           int
+	recvX, recvY           int64
+	sendX, sendY           int64
 }
 
 // Cycles returns the modeled machine time of a run: the cycle count the
 // cycle-accurate simulator would report.
 func (p *Plan) Cycles() int64 { return p.cycles }
 
-// Ops returns the trace length: dynamic non-nop microinstructions per
-// cell.
-func (p *Plan) Ops() int { return len(p.ops) }
+// Ops returns the dynamic non-nop microinstructions per cell.
+func (p *Plan) Ops() int { return int(p.dynOps) }
 
-// Compile builds an execution plan: it emulates the IU microprogram
-// once to materialize the address and loop-signal streams, then unrolls
-// the cell microprogram into a flat trace with every address resolved
-// and every loop signal checked against the sequencer.  Programs the
-// trace cannot represent (oversized, non-positive trip counts, stream
-// inconsistencies) fail with an error; callers fall back to the
+// Compile builds an execution plan: it converts the cell microprogram
+// into the loop tree, then emulates the IU microprogram once in lock
+// step with the tree to fit every memory reference's address form and
+// check every address and loop signal.  Programs that break a contract
+// (malformed microcode, address or signal stream inconsistencies, host
+// streams too short) fail with an error; callers fall back to the
 // simulator.
 func Compile(p Program) (*Plan, error) {
 	if p.Cells < 1 {
@@ -149,39 +206,52 @@ func Compile(p Program) (*Plan, error) {
 	if p.Cell == nil || p.IU == nil || p.Host == nil {
 		return nil, fmt.Errorf("fastexec: incomplete program (cell, IU and host programs are all required)")
 	}
-	cellCycles := p.Cell.Cycles()
-	if cellCycles > maxTraceCycles {
-		return nil, fmt.Errorf("fastexec: cell program unrolls to %d cycles, over the %d-cycle trace cap", cellCycles, maxTraceCycles)
+	if err := mcode.ValidateCell(p.Cell); err != nil {
+		return nil, fmt.Errorf("fastexec: cell program: %w", err)
 	}
-	if iuCycles := p.IU.Cycles(); iuCycles > maxTraceCycles {
-		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCycles, maxTraceCycles)
+	if err := mcode.ValidateIU(p.IU); err != nil {
+		return nil, fmt.Errorf("fastexec: IU program: %w", err)
 	}
-	adr, sigs, err := emulateIU(p.IU)
+	b := &planBuilder{}
+	_, hi, err := b.items(p.Cell.Items, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{adr: adr, sigs: sigs}
-	if err := b.walk(p.Cell.Items); err != nil {
+	b.k = make([]int64, b.depth)
+	if err := b.lockstep(p.IU, hi); err != nil {
 		return nil, err
+	}
+	if err := b.resolve(); err != nil {
+		return nil, err
+	}
+	if len(b.explicit) > 0 {
+		// A second lockstep pass fills the explicit address lists; the
+		// first has already proven every address in range.
+		if err := b.lockstep(p.IU, hi); err != nil {
+			return nil, err
+		}
 	}
 
 	plan := &Plan{
 		cells:      p.Cells,
 		skew:       p.Skew,
 		lead:       p.Lead,
-		cellCycles: cellCycles,
-		ops:        b.ops,
+		cellCycles: p.Cell.Cycles(),
 		host:       p.Host,
-		addOps:     b.addOps, mulOps: b.mulOps, movOps: b.movOps,
-		loads: b.loads, stores: b.stores,
-		recvX: b.recvX, recvY: b.recvY,
-		sendX: b.sendX, sendY: b.sendY,
+		nodes:      b.nodes,
+		top:        hi,
+		depth:      b.depth,
+		ops:        b.ops,
+		io:         b.io,
+		terms:      b.terms,
+		explicit:   b.explicit,
+		counts:     b.counts,
 	}
 	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
 	// the simulator's reported count is one past that.  An empty cell
 	// program still costs its start cycle.
-	plan.cycles = p.Lead + int64(p.Cells-1)*p.Skew + cellCycles
-	if cellCycles == 0 {
+	plan.cycles = p.Lead + int64(p.Cells-1)*p.Skew + plan.cellCycles
+	if plan.cellCycles == 0 {
 		plan.cycles++
 	}
 
@@ -189,167 +259,256 @@ func Compile(p Program) (*Plan, error) {
 	// dry, and the last cell's sends must fit the output sequences.
 	// (Verified programs satisfy both; the checks keep an unverified
 	// explicit fast run honest.)
-	for ch, want := range map[w2.Channel]int{w2.ChanX: b.recvX, w2.ChanY: b.recvY} {
-		if have := len(p.Host.In[ch]); have < want {
-			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
+	for _, c := range []struct {
+		ch   w2.Channel
+		want int64
+	}{{w2.ChanX, b.recvX}, {w2.ChanY, b.recvY}} {
+		if have := int64(len(p.Host.In[c.ch])); have < c.want {
+			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", c.want, c.ch, have)
 		}
 	}
-	for ch, want := range map[w2.Channel]int{w2.ChanX: b.sendX, w2.ChanY: b.sendY} {
-		if have := len(p.Host.Out[ch]); want > have {
-			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", want, ch, have)
+	for _, c := range []struct {
+		ch   w2.Channel
+		want int64
+	}{{w2.ChanX, b.sendX}, {w2.ChanY, b.sendY}} {
+		if have := int64(len(p.Host.Out[c.ch])); c.want > have {
+			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", c.want, c.ch, have)
 		}
 	}
 	return plan, nil
 }
 
-// sigRec is one loop-control signal the IU emits.
-type sigRec struct {
-	id   int
-	more bool
+// slot is the build-time state of one static memory reference: where
+// its field lives, and the affine form fitted to its address stream so
+// far.  fit holds depth entries each of stride, stride-known and trip
+// count, one per enclosing loop level.
+type slot struct {
+	op        int32
+	port      int32
+	depth     int32
+	fit       int32 // offset into planBuilder.stride/known/trips
+	mult      int64 // dynamic executions per cell
+	addr      *mcode.MemOp
+	base      int64
+	seen      bool
+	irregular bool // the stream fits no affine form: explicit list
+	next      int64
 }
 
-// emulateIU runs the IU microprogram to completion, sequentially,
-// producing the full address stream and loop-signal stream.  The IU
-// issues one instruction per cycle and its register writes land the
-// next cycle, so applying each instruction's writes after its reads is
-// exactly the simulator's pending-write semantics; a same-register
-// immediate+ALU pair resolves to the ALU, which the simulator applies
-// last.
-func emulateIU(p *mcode.IUProgram) (adr []int64, sigs []sigRec, err error) {
-	var regs [mcode.IUNumRegs]int64
-	tblPos := 0
-	step := func(in *mcode.IUInstr, iter int64) error {
-		for _, out := range in.Out {
-			if out == nil {
-				continue
-			}
-			var v int64
-			if out.FromTable {
-				if tblPos >= len(p.Table) {
-					return fmt.Errorf("fastexec: IU table read past its %d entries", len(p.Table))
-				}
-				v = p.Table[tblPos]
-				tblPos++
-			} else {
-				v = regs[out.Src]
-			}
-			adr = append(adr, v)
-		}
-		if in.Sig != nil {
-			more := in.Sig.Continue
-			if !in.Sig.Static {
-				more = iter*in.Sig.M+in.Sig.Copy < in.Sig.CellTrips-1
-			}
-			sigs = append(sigs, sigRec{id: in.Sig.LoopID, more: more})
-		}
-		var aluV int64
-		if in.Alu != nil { // reads before any of this cycle's writes
-			a := regs[in.Alu.A]
-			b := in.Alu.ImmVal
-			if !in.Alu.BIsImm {
-				b = regs[in.Alu.B]
-			}
-			if in.Alu.Sub {
-				aluV = a - b
-			} else {
-				aluV = a + b
-			}
-		}
-		if in.Imm != nil {
-			regs[in.Imm.Dst] = in.Imm.Value
-		}
-		if in.Alu != nil {
-			regs[in.Alu.Dst] = aluV
-		}
-		return nil
+// planBuilder converts the cell program into a plan and runs the lockstep
+// IU check.
+type planBuilder struct {
+	nodes    []node
+	ops      []op
+	io       []ioStep
+	terms    []term
+	explicit []int32
+	depth    int
+
+	slots  []slot
+	stride []int64
+	known  []bool
+	trips  []int64
+	loops  []int64    // trip counts of the loops enclosing the walk
+	meta   []nodeMeta // parallel to nodes
+	k      []int64    // loop counters during the lockstep walk
+	t      int64      // cell-local cycle during the lockstep walk
+	iu     *iuGen
+	fill   bool // second pass: record explicit address lists
+
+	counts
+}
+
+// nodeMeta is the build-time side of one node: a loop's ID, a block's
+// memory references slots[slotLo:slotHi].
+type nodeMeta struct {
+	id             int
+	slotLo, slotHi int32
+}
+
+// items converts one level of the cell program into a contiguous range
+// of nodes.  Consecutive straight-line blocks merge into one block node.
+func (b *planBuilder) items(items []mcode.CodeItem, depth int, mult int64) (int32, int32, error) {
+	if depth > b.depth {
+		b.depth = depth
 	}
-	var walk func(items []mcode.IUItem, iter int64) error
-	walk = func(items []mcode.IUItem, iter int64) error {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.IUStraight:
-				for _, in := range it.Instrs {
-					if err := step(in, iter); err != nil {
-						return err
+	n := 0
+	for i, it := range items {
+		if !isStraight(it) || i == 0 || !isStraight(items[i-1]) {
+			n++
+		}
+	}
+	lo := int32(len(b.nodes))
+	b.nodes = append(b.nodes, make([]node, n)...)
+	b.meta = append(b.meta, make([]nodeMeta, n)...)
+	ni := lo
+	for i := 0; i < len(items); ni++ {
+		if l, ok := items[i].(*mcode.LoopItem); ok {
+			b.loops = append(b.loops, l.Trips)
+			blo, bhi, err := b.items(l.Body, depth+1, mult*l.Trips)
+			b.loops = b.loops[:len(b.loops)-1]
+			if err != nil {
+				return 0, 0, err
+			}
+			b.nodes[ni] = node{lo: blo, hi: bhi, level: int32(depth), trips: l.Trips}
+			b.meta[ni].id = l.ID
+			i++
+			continue
+		}
+		nd := node{lo: int32(len(b.ops))}
+		slotLo := int32(len(b.slots))
+		for ; i < len(items) && isStraight(items[i]); i++ {
+			for _, in := range items[i].(*mcode.Straight).Instrs {
+				if !in.Empty() {
+					if err := b.op(in, nd.cycles, mult); err != nil {
+						return 0, 0, err
 					}
 				}
-			case *mcode.IULoop:
-				// The sequencer's loops are do-while: a non-positive trip
-				// count still executes once there, which this unrolled walk
-				// does not model.
-				if it.Trips < 1 {
-					return fmt.Errorf("fastexec: IU loop L%d has trip count %d", it.ID, it.Trips)
-				}
-				for k := int64(0); k < it.Trips; k++ {
-					if err := walk(it.Body, k); err != nil {
-						return err
-					}
-				}
+				nd.cycles++
 			}
 		}
-		return nil
+		nd.hi = int32(len(b.ops))
+		if nd.cycles > math.MaxInt32 {
+			return 0, 0, fmt.Errorf("fastexec: straight-line block of %d cycles", nd.cycles)
+		}
+		b.nodes[ni] = nd
+		b.meta[ni].slotLo, b.meta[ni].slotHi = slotLo, int32(len(b.slots))
 	}
-	if err := walk(p.Items, 0); err != nil {
-		return nil, nil, err
-	}
-	return adr, sigs, nil
+	return lo, lo + int32(n), nil
 }
 
-// builder unrolls the cell microprogram into the trace, consuming the
-// IU streams in the exact order the hardware would pop them.
-type builder struct {
-	adr    []int64
-	adrPos int
-	sigs   []sigRec
-	sigPos int
-
-	ops []op
-	t   int64 // cell-local cycle of the next instruction
-
-	addOps, mulOps, movOps int64
-	loads, stores          int64
-	recvX, recvY           int
-	sendX, sendY           int
+func isStraight(it mcode.CodeItem) bool {
+	_, ok := it.(*mcode.Straight)
+	return ok
 }
 
-func (b *builder) walk(items []mcode.CodeItem) error {
-	for _, it := range items {
-		switch it := it.(type) {
-		case *mcode.Straight:
-			for _, in := range it.Instrs {
-				if err := b.instr(in); err != nil {
+func aluOf(o *mcode.AluOp) aluField {
+	return aluField{code: uint8(o.Code), dst: uint8(o.Dst), src: [3]uint8{uint8(o.Src[0]), uint8(o.Src[1]), uint8(o.Src[2])}}
+}
+
+// op appends one non-nop microinstruction issued at offset off of the
+// current block, executed mult times per cell.
+func (b *planBuilder) op(in *mcode.Instr, off int64, mult int64) error {
+	o := op{off: int32(off), ioLo: int32(len(b.io))}
+	for _, io := range in.IO {
+		if io.Recv {
+			if io.Dir != w2.DirL {
+				return fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
+			}
+			if io.Chan == w2.ChanY {
+				b.recvY += mult
+			} else {
+				b.recvX += mult
+			}
+		} else {
+			if io.Dir != w2.DirR {
+				return fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
+			}
+			if io.Chan == w2.ChanY {
+				b.sendY += mult
+			} else {
+				b.sendX += mult
+			}
+		}
+		b.io = append(b.io, ioStep{recv: io.Recv, chanY: io.Chan == w2.ChanY, reg: uint8(io.Reg)})
+	}
+	o.ioHi = int32(len(b.io))
+	for port, mo := range in.Mem {
+		if mo == nil {
+			continue
+		}
+		o.mem[port] = memField{flags: memValid, reg: uint8(mo.Reg)}
+		if mo.Store {
+			o.mem[port].flags |= memStore
+			b.stores += mult
+		} else {
+			b.loads += mult
+		}
+		d := len(b.loops)
+		b.slots = append(b.slots, slot{
+			op: int32(len(b.ops)), port: int32(port), depth: int32(d),
+			fit: int32(len(b.stride)), mult: mult, addr: mo,
+		})
+		b.stride = append(b.stride, make([]int64, d)...)
+		b.known = append(b.known, make([]bool, d)...)
+		b.trips = append(b.trips, b.loops...)
+	}
+	if in.Add != nil {
+		o.flags |= hasAdd
+		o.add = aluOf(in.Add)
+		b.addOps += mult
+	}
+	if in.Mul != nil {
+		o.flags |= hasMul
+		o.mul = aluOf(in.Mul)
+		b.mulOps += mult
+	}
+	if in.Mov != nil {
+		o.flags |= hasMov
+		o.mov = aluOf(in.Mov)
+		b.movOps += mult
+	}
+	if in.Lit != nil {
+		o.flags |= hasLit
+		o.litDst = uint8(in.Lit.Dst)
+		o.lit = in.Lit.Value
+	}
+	b.dynOps += mult
+	b.ops = append(b.ops, o)
+	return nil
+}
+
+// lockstep walks the cell's loop tree once, pulling the IU's address
+// and signal streams in the exact order the hardware pops them.
+func (b *planBuilder) lockstep(iu *mcode.IUProgram, top int32) error {
+	b.iu = newIUGen(iu)
+	b.t = 0
+	if err := b.walk(0, top); err != nil {
+		return err
+	}
+	// Run the IU to completion so an error in its tail (a table
+	// overread) still rejects the program.
+	return b.iu.drain()
+}
+
+func (b *planBuilder) walk(lo, hi int32) error {
+	for ni := lo; ni < hi; ni++ {
+		n := &b.nodes[ni]
+		if n.trips == 0 {
+			m := &b.meta[ni]
+			slots := b.slots[m.slotLo:m.slotHi]
+			for i := range slots {
+				if err := b.consume(&slots[i]); err != nil {
 					return err
 				}
 			}
-		case *mcode.LoopItem:
-			if it.Trips < 1 {
-				return fmt.Errorf("fastexec: loop L%d has trip count %d", it.ID, it.Trips)
+			b.t += n.cycles
+			continue
+		}
+		for k := int64(0); k < n.trips; k++ {
+			b.k[n.level] = k
+			if err := b.walk(n.lo, n.hi); err != nil {
+				return err
 			}
-			if it.Cycles() == 0 {
-				return fmt.Errorf("fastexec: loop L%d has an empty body", it.ID)
-			}
-			for k := int64(0); k < it.Trips; k++ {
-				if err := b.walk(it.Body); err != nil {
-					return err
-				}
-				// One IU control signal is consumed per loop boundary,
-				// innermost first — the recursion returns from inner loops
-				// before reaching this point, matching the sequencer.
-				if err := b.loopEnd(it.ID, k+1 < it.Trips); err != nil {
-					return err
-				}
+			// One IU control signal is consumed per loop boundary,
+			// innermost first — the recursion returns from inner loops
+			// before reaching this point, matching the sequencer.
+			if err := b.loopEnd(b.meta[ni].id, k+1 < n.trips); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-func (b *builder) loopEnd(id int, more bool) error {
-	if b.sigPos >= len(b.sigs) {
+func (b *planBuilder) loopEnd(id int, more bool) error {
+	s, ok, err := b.iu.sig()
+	if err != nil {
+		return err
+	}
+	if !ok {
 		return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", id)
 	}
-	s := b.sigs[b.sigPos]
-	b.sigPos++
 	if s.id != id || s.more != more {
 		return fmt.Errorf("fastexec: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
 			id, more, s.id, s.more)
@@ -357,490 +516,97 @@ func (b *builder) loopEnd(id int, more bool) error {
 	return nil
 }
 
-func (b *builder) instr(in *mcode.Instr) error {
-	t := b.t
-	b.t++
-	if in.Empty() {
+// consume pops the address of one dynamic execution of a memory
+// reference, checks it against the cell memory and the reference's
+// affine form, and fits the form's strides as they first become
+// observable.
+func (b *planBuilder) consume(s *slot) error {
+	addr, ok, err := b.iu.addr()
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d",
+			b.t+int64(b.ops[s.op].off), s.port)
+	}
+	if addr < 0 || addr >= mcode.MemWords {
+		return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
+			addr, mcode.MemWords, s.addr.Addr)
+	}
+	if b.fill {
+		if s.irregular {
+			b.explicit[int64(b.ops[s.op].mem[s.port].base)+s.next] = int32(addr)
+			s.next++
+		}
 		return nil
 	}
-	o := op{cycle: t, add: in.Add, mul: in.Mul, mov: in.Mov, lit: in.Lit}
-	for _, io := range in.IO {
-		if io.Recv {
-			if io.Dir != w2.DirL {
-				return fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
-			}
-			if io.Chan == w2.ChanY {
-				b.recvY++
-			} else {
-				b.recvX++
-			}
-		} else {
-			if io.Dir != w2.DirR {
-				return fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
-			}
-			if io.Chan == w2.ChanY {
-				b.sendY++
-			} else {
-				b.sendX++
-			}
-		}
-		o.io = append(o.io, ioStep{recv: io.Recv, chanY: io.Chan == w2.ChanY, reg: io.Reg})
+	if !s.seen {
+		// The first execution runs with every enclosing counter at zero.
+		s.seen, s.base = true, addr
+		return nil
 	}
-	for port, mo := range in.Mem {
-		if mo == nil {
+	if s.irregular {
+		return nil
+	}
+	// Counters advance in lexicographic order, so the first execution
+	// with counter j nonzero has k[j] = 1 and every other counter zero:
+	// its offset from the base is exactly level j's stride.
+	stride := b.stride[s.fit : s.fit+s.depth]
+	known := b.known[s.fit : s.fit+s.depth]
+	pred := s.base
+	for j, kj := range b.k[:s.depth] {
+		if kj == 0 {
 			continue
 		}
-		if b.adrPos >= len(b.adr) {
-			return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
+		if !known[j] {
+			stride[j], known[j] = addr-s.base, true
 		}
-		addr := b.adr[b.adrPos]
-		b.adrPos++
-		if addr < 0 || addr >= mcode.MemWords {
-			return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-				addr, mcode.MemWords, mo.Addr)
-		}
-		o.mem[port] = memStep{valid: true, store: mo.Store, reg: mo.Reg, addr: int32(addr)}
-		if mo.Store {
-			b.stores++
+		pred += stride[j] * kj
+	}
+	if pred != addr {
+		s.irregular = true
+	}
+	return nil
+}
+
+// resolve turns each reference's fitted stream into its plan form: an
+// affine form, or — for an irregular stream — a reserved explicit list
+// indexed by the execution's ordinal Σ k_j·(product of the inner trip
+// counts), filled by a second lockstep pass.
+func (b *planBuilder) resolve() error {
+	var lists int64
+	for i := range b.slots {
+		s := &b.slots[i]
+		f := &b.ops[s.op].mem[s.port]
+		f.termLo = int32(len(b.terms))
+		if !s.irregular {
+			f.base = int32(s.base)
+			for j, st := range b.stride[s.fit : s.fit+s.depth] {
+				if st != 0 {
+					b.terms = append(b.terms, term{level: int32(j), coef: int32(st)})
+				}
+			}
 		} else {
-			b.loads++
-		}
-	}
-	if in.Add != nil {
-		b.addOps++
-	}
-	if in.Mul != nil {
-		b.mulOps++
-	}
-	if in.Mov != nil {
-		b.movOps++
-	}
-	b.ops = append(b.ops, o)
-	return nil
-}
-
-// ExecConfig controls one execution of a plan.
-type ExecConfig struct {
-	// Ctx, when non-nil, is polled at a bounded operation stride (and
-	// once up front); once cancelled the run aborts with an error
-	// wrapping ctx.Err().
-	Ctx context.Context
-	// MaxCycles mirrors the simulator's livelock guard (0 = 1<<28): a
-	// plan whose modeled run the simulator would have aborted is
-	// rejected with an error wrapping sim.ErrLivelock, keeping the two
-	// backends' failure behaviour aligned.
-	MaxCycles int64
-	// Progress, when non-nil, receives modeled-cycle position updates
-	// at the same stride the context is polled, plus one final update
-	// when the run completes.  The position is the fraction of the
-	// trace replayed scaled onto the modeled cycle count, so it is
-	// monotone and comparable to the simulator's cycles-retired
-	// counter.  nil keeps the replay loop progress-free.
-	Progress obs.ProgressFunc
-}
-
-// Result reports one execution.
-type Result struct {
-	// Cycles is the modeled machine time — identical to the count the
-	// cycle-accurate simulator reports for the same program.
-	Cycles int64
-	// CellFinish is the modeled absolute cycle each cell finished at.
-	CellFinish []int64
-	// AddOps/MulOps are FPU issues summed over all cells; CellActive is
-	// the summed active windows (finish − start per cell), the
-	// denominator of the utilization metrics.
-	AddOps, MulOps int64
-	CellActive     int64
-	// Sent counts words delivered to the host per channel.
-	Sent map[w2.Channel]int
-	// Obs is a modeled run profile: exact start/finish/issue counts per
-	// cell; scheduled idle cycles are attributed as bubbles (the
-	// starved/bubble split needs queue timing only the simulator has).
-	Obs *obs.Profile
-}
-
-// pendWrite is a register write waiting for its landing cycle.
-type pendWrite struct {
-	reg mcode.Reg
-	val float64
-}
-
-// ringSlot holds the writes landing on one cycle.  Landing cycles in
-// flight span at most FPULatency cycles, so slots keyed by cycle mod
-// (FPULatency+1) never collide.
-type ringSlot struct {
-	land int64
-	w    []pendWrite
-}
-
-// pstore is a memory store waiting its one-cycle latency; stores always
-// land before the next trace operation executes.
-type pstore struct {
-	addr int32
-	val  float64
-}
-
-// cellRun is the per-cell execution state.
-type cellRun struct {
-	regs    [mcode.NumRegs]float64
-	ring    [ringSlots]ringSlot
-	applied int64 // cycle up to which landed writes are applied
-}
-
-// landTo applies every pending register write landing at or before
-// cycle t, in (landing cycle, issue order) — the simulator's pending
-// scan order.
-func (c *cellRun) landTo(t int64) {
-	for u := c.applied + 1; u <= t && u <= c.applied+ringSpan; u++ {
-		s := &c.ring[u%ringSlots]
-		if s.land == u {
-			for _, w := range s.w {
-				c.regs[w.reg] = w.val
-			}
-			s.w = s.w[:0]
-			s.land = -1
-		}
-	}
-	c.applied = t
-}
-
-func (c *cellRun) write(reg mcode.Reg, v float64, land int64) {
-	s := &c.ring[land%ringSlots]
-	s.land = land
-	s.w = append(s.w, pendWrite{reg: reg, val: v})
-}
-
-func boolToF(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// alu mirrors the simulator's FPU evaluation exactly, including the
-// divide-by-zero contract error, scheduling the result at the unit's
-// latency.
-func (c *cellRun) alu(o *mcode.AluOp, t int64) error {
-	a := c.regs[o.Src[0]]
-	b := c.regs[o.Src[1]]
-	var v float64
-	switch o.Code {
-	case mcode.Fadd:
-		v = a + b
-	case mcode.Fsub:
-		v = a - b
-	case mcode.Fneg:
-		v = -a
-	case mcode.Fmul:
-		v = a * b
-	case mcode.Fdiv:
-		if b == 0 {
-			return fmt.Errorf("fastexec: floating divide by zero")
-		}
-		v = a / b
-	case mcode.CmpEQ:
-		v = boolToF(a == b)
-	case mcode.CmpNE:
-		v = boolToF(a != b)
-	case mcode.CmpLT:
-		v = boolToF(a < b)
-	case mcode.CmpLE:
-		v = boolToF(a <= b)
-	case mcode.CmpGT:
-		v = boolToF(a > b)
-	case mcode.CmpGE:
-		v = boolToF(a >= b)
-	case mcode.BoolAnd:
-		v = boolToF(a != 0 && b != 0)
-	case mcode.BoolOr:
-		v = boolToF(a != 0 || b != 0)
-	case mcode.BoolNot:
-		v = boolToF(a == 0)
-	case mcode.Sel:
-		if a != 0 {
-			v = b
-		} else {
-			v = c.regs[o.Src[2]]
-		}
-	case mcode.Mov:
-		v = a
-	default:
-		return fmt.Errorf("fastexec: unknown ALU code %v", o.Code)
-	}
-	c.write(o.Dst, v, t+o.Code.Latency())
-	return nil
-}
-
-// execState is the whole-array execution state shared across cells.
-type execState struct {
-	plan     *Plan
-	hostMem  []float64
-	ctx      context.Context
-	progress obs.ProgressFunc
-
-	mem     []float64 // one cell's data memory, zeroed per cell
-	pstores []pstore
-
-	// Inter-cell streams, double-buffered: a cell reads prev* (its left
-	// neighbour's full output) and appends to cur*.
-	prevX, prevY []float64
-	curX, curY   []float64
-	xPos, yPos   int
-
-	hostInPos  [2]int // X, Y positions into the host input sequences
-	hostOutPos [2]int
-	sent       map[w2.Channel]int
-
-	opCount int64
-}
-
-func chanOf(chanY bool) (w2.Channel, int) {
-	if chanY {
-		return w2.ChanY, 1
-	}
-	return w2.ChanX, 0
-}
-
-// hostWord resolves cell 0's next input word on a channel, lazily
-// against host memory — exact because semantic analysis makes receive
-// externals in-parameters and send externals out-parameters, so the
-// input region is never overwritten during a run.
-func (st *execState) hostWord(chanY bool) (float64, error) {
-	ch, ci := chanOf(chanY)
-	seq := st.plan.host.In[ch]
-	pos := st.hostInPos[ci]
-	if pos >= len(seq) {
-		return 0, fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, len(seq))
-	}
-	st.hostInPos[ci] = pos + 1
-	w := seq[pos]
-	if w.Literal {
-		return w.Value, nil
-	}
-	if w.Index < 0 || w.Index >= len(st.hostMem) {
-		return 0, fmt.Errorf("fastexec: host input index %d outside host memory of %d words", w.Index, len(st.hostMem))
-	}
-	return st.hostMem[w.Index], nil
-}
-
-// hostCollect receives one word from the last cell on a channel,
-// mirroring the simulator's output sequencing (Discard entries are
-// dummy sends with no destination).
-func (st *execState) hostCollect(chanY bool, v float64) error {
-	ch, ci := chanOf(chanY)
-	seq := st.plan.host.Out[ch]
-	pos := st.hostOutPos[ci]
-	if pos >= len(seq) {
-		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, len(seq))
-	}
-	if idx := seq[pos]; idx != hostgen.Discard {
-		if idx < 0 || idx >= len(st.hostMem) {
-			return fmt.Errorf("fastexec: host output index %d outside host memory of %d words", idx, len(st.hostMem))
-		}
-		st.hostMem[idx] = v
-	}
-	st.hostOutPos[ci] = pos + 1
-	st.sent[ch]++
-	return nil
-}
-
-// Execute runs the plan over a host memory image (inputs pre-loaded;
-// outputs written in place).  The plan is read-only: concurrent
-// Execute calls on one Plan are safe.
-func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 28
-	}
-	// The simulator aborts when its clock passes MaxCycles before the
-	// last cell retires, i.e. whenever the run needs more than
-	// MaxCycles+1 cycles; the modeled count makes the same decision
-	// without running.
-	if p.cycles > maxCycles+1 {
-		return nil, fmt.Errorf("fastexec: modeled run needs %d cycles, exceeding %d; the machine is %w",
-			p.cycles, maxCycles, sim.ErrLivelock)
-	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fastexec: run aborted: %w", err)
-		}
-	}
-
-	st := &execState{
-		plan:     p,
-		hostMem:  hostMem,
-		ctx:      cfg.Ctx,
-		progress: cfg.Progress,
-		mem:      make([]float64, mcode.MemWords),
-		curX:     make([]float64, 0, p.sendX),
-		curY:     make([]float64, 0, p.sendY),
-		sent:     map[w2.Channel]int{},
-	}
-	for i := 0; i < p.cells; i++ {
-		if err := p.runCell(st, i); err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		// This cell's output becomes the next cell's input; the spent
-		// input buffer is recycled as the next output buffer.
-		st.prevX, st.curX = st.curX, st.prevX[:0]
-		st.prevY, st.curY = st.curY, st.prevY[:0]
-		st.xPos, st.yPos = 0, 0
-	}
-	if cfg.Progress != nil {
-		cfg.Progress(obs.ProgressUpdate{Cycles: p.cycles, Done: true})
-	}
-	return p.result(st), nil
-}
-
-// runCell replays the trace for one cell.
-func (p *Plan) runCell(st *execState, idx int) error {
-	first, last := idx == 0, idx == p.cells-1
-	c := &cellRun{applied: -1}
-	for s := range c.ring {
-		c.ring[s].land = -1
-	}
-	clear(st.mem)
-	st.pstores = st.pstores[:0]
-
-	for oi := range p.ops {
-		o := &p.ops[oi]
-		if st.ctx != nil || st.progress != nil {
-			st.opCount++
-			if st.opCount%ctxCheckInterval == 1 {
-				if st.ctx != nil {
-					if err := st.ctx.Err(); err != nil {
-						return fmt.Errorf("fastexec: run aborted: %w", err)
-					}
+			f.flags |= memExplicit
+			f.base = int32(lists)
+			inner := int64(1)
+			trips := b.trips[s.fit : s.fit+s.depth]
+			for j := len(trips) - 1; j >= 0; j-- {
+				if trips[j] > 1 {
+					b.terms = append(b.terms, term{level: int32(j), coef: int32(inner)})
 				}
-				if st.progress != nil {
-					// The replay visits cells sequentially, so the raw
-					// trace position would jump backwards at each cell
-					// boundary; scale the global op counter onto the
-					// modeled cycle axis for a monotone position.
-					total := int64(len(p.ops)) * int64(p.cells)
-					st.progress(obs.ProgressUpdate{Cycles: p.cycles * st.opCount / total})
-				}
+				inner *= trips[j]
+			}
+			lists += s.mult
+			if lists > math.MaxInt32 {
+				return fmt.Errorf("fastexec: irregular address streams total %d words", lists)
 			}
 		}
-		t := o.cycle
-		// Writes landing by this cycle become visible before any read.
-		c.landTo(t)
-		for _, w := range st.pstores {
-			st.mem[w.addr] = w.val
-		}
-		st.pstores = st.pstores[:0]
-
-		// Field order matches the simulator: IO, memory ports, ADD,
-		// MUL, MOV, literal — which fixes the issue order of same-cycle
-		// pending writes.
-		for _, io := range o.io {
-			if io.recv {
-				var v float64
-				if first {
-					var err error
-					if v, err = st.hostWord(io.chanY); err != nil {
-						return err
-					}
-				} else if io.chanY {
-					if st.yPos >= len(st.prevY) {
-						return fmt.Errorf("fastexec: queue cell%d.Y underflows (receive before the matching send)", idx)
-					}
-					v = st.prevY[st.yPos]
-					st.yPos++
-				} else {
-					if st.xPos >= len(st.prevX) {
-						return fmt.Errorf("fastexec: queue cell%d.X underflows (receive before the matching send)", idx)
-					}
-					v = st.prevX[st.xPos]
-					st.xPos++
-				}
-				c.write(io.reg, v, t+1)
-			} else {
-				v := c.regs[io.reg]
-				switch {
-				case last:
-					if err := st.hostCollect(io.chanY, v); err != nil {
-						return err
-					}
-				case io.chanY:
-					st.curY = append(st.curY, v)
-				default:
-					st.curX = append(st.curX, v)
-				}
-			}
-		}
-		for pi := range o.mem {
-			ms := &o.mem[pi]
-			if !ms.valid {
-				continue
-			}
-			if ms.store {
-				st.pstores = append(st.pstores, pstore{addr: ms.addr, val: c.regs[ms.reg]})
-			} else {
-				c.write(ms.reg, st.mem[ms.addr], t+1)
-			}
-		}
-		if o.add != nil {
-			if err := c.alu(o.add, t); err != nil {
-				return err
-			}
-		}
-		if o.mul != nil {
-			if err := c.alu(o.mul, t); err != nil {
-				return err
-			}
-		}
-		if o.mov != nil {
-			if err := c.alu(o.mov, t); err != nil {
-				return err
-			}
-		}
-		if o.lit != nil {
-			c.write(o.lit.Dst, o.lit.Value, t+1)
-		}
+		f.termHi = int32(len(b.terms))
 	}
-	// Writes still in flight when the cell retires are never observed:
-	// the simulator stops stepping a finished cell the same way.
+	if lists > 0 {
+		b.explicit = make([]int32, lists)
+		b.fill = true
+	}
 	return nil
-}
-
-// result assembles the modeled statistics and run profile.
-func (p *Plan) result(st *execState) *Result {
-	res := &Result{
-		CellFinish: make([]int64, p.cells),
-		AddOps:     p.addOps * int64(p.cells),
-		MulOps:     p.mulOps * int64(p.cells),
-		Sent:       st.sent,
-		Cycles:     p.cycles,
-	}
-	prof := &obs.Profile{
-		Cells:  p.cells,
-		Cycles: p.cycles,
-		Skew:   p.skew,
-		Lead:   p.lead,
-		Cell:   make([]obs.CellProfile, p.cells),
-	}
-	busy := int64(len(p.ops))
-	last := p.cycles - 1
-	for i := 0; i < p.cells; i++ {
-		start := p.lead + int64(i)*p.skew
-		finish := start
-		if p.cellCycles > 0 {
-			finish = start + p.cellCycles - 1
-		}
-		res.CellFinish[i] = finish
-		res.CellActive += finish - start
-		prof.Cell[i] = obs.CellProfile{
-			Start:  start,
-			Finish: finish,
-			AddOps: p.addOps, MulOps: p.mulOps, MovOps: p.movOps,
-			Loads: p.loads, Stores: p.stores,
-			Busy:     busy,
-			Bubble:   p.cellCycles - busy, // idle issue slots; the starved split needs queue timing
-			SkewLead: int64(i) * p.skew,
-			Drain:    last - finish,
-		}
-	}
-	res.Obs = prof
-	return res
 }

@@ -12,13 +12,17 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"warp/internal/driver"
 	"warp/internal/fastexec"
+	"warp/internal/hostgen"
 	"warp/internal/interp"
+	"warp/internal/mcode"
 	"warp/internal/sim"
+	"warp/internal/w2"
 	"warp/internal/workloads"
 )
 
@@ -52,11 +56,23 @@ func runBoth(t *testing.T, c *driver.Compiled, plan *fastexec.Plan, inputs map[s
 	if err != nil {
 		t.Fatalf("host mem: %v", err)
 	}
-	fastMem := append([]float64(nil), simMem...)
+	matchSim(t, fastexec.Program{
+		Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host,
+		Skew: c.Skew, Lead: c.IUGen.Prologue + 1,
+	}, plan, simMem)
+}
+
+// matchSim runs a program on the simulator and its plan on the fast
+// executor over copies of one host memory image and asserts identical
+// cycles, statistics and output bits.
+func matchSim(t *testing.T, p fastexec.Program, plan *fastexec.Plan, mem []float64) {
+	t.Helper()
+	simMem := append([]float64(nil), mem...)
+	fastMem := append([]float64(nil), mem...)
 
 	simStats, err := sim.Run(sim.Config{
-		Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host,
-		Skew: c.Skew, Lead: c.IUGen.Prologue + 1, HostMem: simMem,
+		Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host,
+		Skew: p.Skew, Lead: p.Lead, HostMem: simMem,
 	})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
@@ -167,7 +183,7 @@ func TestModeledCyclesClosedForm(t *testing.T) {
 		t.Fatalf("modeled cycles %d, closed form %d", plan.Cycles(), want)
 	}
 	if plan.Ops() <= 0 || int64(plan.Ops()) > c.Cell.Cycles() {
-		t.Fatalf("trace length %d outside (0, %d]", plan.Ops(), c.Cell.Cycles())
+		t.Fatalf("dynamic ops %d outside (0, %d]", plan.Ops(), c.Cell.Cycles())
 	}
 }
 
@@ -236,5 +252,192 @@ func TestLivelockParity(t *testing.T) {
 	// like the simulator's m.now > MaxCycles check.
 	if _, err := plan.Execute(mem, fastexec.ExecConfig{MaxCycles: plan.Cycles() - 1}); err != nil {
 		t.Fatalf("guard at cycles-1: %v", err)
+	}
+}
+
+// TestOpsMatchesUnrolledCount: Ops is computed in closed form over the
+// loop tree; it must equal a brute-force count of the non-nop
+// instructions of the fully unrolled cell program.
+func TestOpsMatchesUnrolledCount(t *testing.T) {
+	var unrolled func(items []mcode.CodeItem) int
+	unrolled = func(items []mcode.CodeItem) int {
+		n := 0
+		for _, it := range items {
+			switch it := it.(type) {
+			case *mcode.Straight:
+				for _, in := range it.Instrs {
+					if !in.Empty() {
+						n++
+					}
+				}
+			case *mcode.LoopItem:
+				for k := int64(0); k < it.Trips; k++ {
+					n += unrolled(it.Body)
+				}
+			}
+		}
+		return n
+	}
+	for _, tc := range workloadCases {
+		for _, pipe := range []bool{false, true} {
+			c, plan := planFor(t, tc.src, driver.Options{Pipeline: pipe})
+			if got, want := plan.Ops(), unrolled(c.Cell.Items); got != want {
+				t.Errorf("%s (pipeline=%v): Ops() = %d, unrolled count %d", tc.name, pipe, got, want)
+			}
+		}
+	}
+}
+
+// TestPlanSizeIndependentOfProblemSize: a plan mirrors the loop
+// structure, so its retained heap depends on the static program only —
+// the same small bound holds at a problem size 64 times larger.
+func TestPlanSizeIndependentOfProblemSize(t *testing.T) {
+	const bound = 256 << 10
+	for _, tc := range []struct {
+		name string
+		src  string
+	}{
+		{"binop-128x128", workloads.Binop(128, 128)},
+		{"binop-1024x1024", workloads.Binop(1024, 1024)},
+		{"colorseg-64x64", workloads.ColorSeg(64, 64, 4)},
+		{"colorseg-256x256", workloads.ColorSeg(256, 256, 4)},
+	} {
+		c, err := driver.Compile(tc.src, driver.Options{})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		plan, err := fastexec.Compile(fastexec.Program{
+			Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host,
+			Skew: c.Skew, Lead: c.IUGen.Prologue + 1,
+		})
+		if err != nil {
+			t.Fatalf("%s: plan: %v", tc.name, err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		runtime.KeepAlive(plan)
+		if retained > bound {
+			t.Errorf("%s: plan retains %d bytes (%d dynamic ops per cell), over the %d-byte bound",
+				tc.name, retained, plan.Ops(), bound)
+		}
+	}
+}
+
+// TestInFlightWritesAcrossLoopBoundaries hand-builds a two-cell program
+// whose FPU and move results issue in the last FPULatency cycles of
+// loop bodies, so they land after a back-edge, inside the next loop, or
+// after the loops exit.  At trip counts 1, 2 and 3 the fast executor
+// must agree with the simulator bit for bit and cycle for cycle.
+func TestInFlightWritesAcrossLoopBoundaries(t *testing.T) {
+	alu := func(code mcode.AluCode, dst mcode.Reg, src ...mcode.Reg) *mcode.AluOp {
+		o := &mcode.AluOp{Code: code, Dst: dst}
+		copy(o.Src[:], src)
+		return o
+	}
+	send := func(r mcode.Reg) []*mcode.IOOp {
+		return []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}
+	}
+	sigLoop := func(id int, trips int64, length int) *mcode.IULoop {
+		body := make([]*mcode.IUInstr, length)
+		for i := range body {
+			body[i] = &mcode.IUInstr{}
+		}
+		body[length-1].Sig = &mcode.IUSig{LoopID: id, M: 1, CellTrips: trips}
+		return &mcode.IULoop{ID: id, Trips: trips, Body: []mcode.IUItem{&mcode.IUStraight{Instrs: body}}}
+	}
+	for _, trips := range []int64{1, 2, 3} {
+		cell := &mcode.CellProgram{Items: []mcode.CodeItem{
+			&mcode.Straight{Instrs: []*mcode.Instr{
+				{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
+				{Lit: &mcode.LitOp{Dst: 2, Value: 0.5}},
+				{Lit: &mcode.LitOp{Dst: 3, Value: 1.25}},
+			}},
+			// Every write of this body lands at or past its last cycle.
+			&mcode.LoopItem{ID: 1, Trips: trips, Body: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{
+				{Add: alu(mcode.Fadd, 3, 3, 1)},
+				{Mul: alu(mcode.Fmul, 4, 3, 2), IO: send(3)},
+				{Add: alu(mcode.Fsub, 1, 1, 2), Mov: alu(mcode.Mov, 5, 4)},
+				{Mul: alu(mcode.Fmul, 6, 4, 1), Add: alu(mcode.Fadd, 3, 3, 5)},
+			}}}},
+			// A short loop right behind it reads registers still in flight.
+			&mcode.LoopItem{ID: 2, Trips: trips, Body: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{
+				{Add: alu(mcode.Fadd, 3, 3, 6), IO: send(6)},
+				{Mov: alu(mcode.Mov, 7, 3), IO: send(4)},
+			}}}},
+			&mcode.Straight{Instrs: []*mcode.Instr{
+				{IO: send(3)}, {IO: send(4)}, {IO: send(5)}, {IO: send(6)},
+				{IO: send(7)}, {IO: send(1)}, {}, {IO: send(3)}, {IO: send(6)},
+			}},
+		}}
+		nSends := int(3*trips) + 8
+		out := make([]int, nSends)
+		for i := range out {
+			out[i] = 1 + i
+		}
+		p := fastexec.Program{
+			Cells: 2,
+			Cell:  cell,
+			IU:    &mcode.IUProgram{Items: []mcode.IUItem{sigLoop(1, trips, 4), sigLoop(2, trips, 2)}},
+			Host: &hostgen.Program{
+				In:  map[w2.Channel][]hostgen.Word{w2.ChanX: {{Index: 0}}},
+				Out: map[w2.Channel][]int{w2.ChanX: out},
+			},
+			Skew: 16,
+			Lead: 2,
+		}
+		plan, err := fastexec.Compile(p)
+		if err != nil {
+			t.Fatalf("trips %d: plan: %v", trips, err)
+		}
+		mem := make([]float64, 1+nSends)
+		mem[0] = 0.75
+		matchSim(t, p, plan, mem)
+	}
+}
+
+// TestLongProgramRunsFast: with no trace cap, a verified program whose
+// cell program runs between 2^22 and 2^24 cycles runs on the fast
+// backend under auto and matches the simulator exactly.
+func TestLongProgramRunsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a multi-million-cycle simulation")
+	}
+	c, err := driver.Compile(workloads.Polynomial(2, 500000), driver.Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Cell.Cycles(); n <= 1<<22 || n >= 1<<24 {
+		t.Fatalf("cell program runs %d cycles; the test needs (2^22, 2^24)", n)
+	}
+	inputs := seededInputs(c, 9)
+	fastOut, fastStats, err := driver.RunWith(c, inputs, driver.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fastStats.Backend != driver.BackendFast || fastStats.Decision.Reason != "auto-verified" {
+		t.Fatalf("auto chose %s (%s: %s), want fast (auto-verified)",
+			fastStats.Backend, fastStats.Decision.Reason, fastStats.Decision.Detail)
+	}
+	simOut, simStats, err := driver.RunWith(c, inputs, driver.RunOptions{Backend: driver.BackendSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fastStats.Cycles != simStats.Cycles {
+		t.Errorf("cycles: fast %d, sim %d", fastStats.Cycles, simStats.Cycles)
+	}
+	for name, want := range simOut {
+		got := fastOut[name]
+		if len(got) != len(want) {
+			t.Fatalf("output %s: fast has %d words, sim %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("output %s[%d]: fast %v, sim %v", name, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -644,6 +644,9 @@ func annotateDecision(sp *obs.Span, d *warp.Decision) {
 		return
 	}
 	sp.Annotate("decision", d.Reason)
+	if d.Detail != "" {
+		sp.Annotate("decision_detail", d.Detail)
+	}
 	sp.Annotate("predicted_wall_ns", fmt.Sprint(d.PredictedWallNS()))
 	sp.Annotate("actual_wall_ns", fmt.Sprint(d.ActualWallNS))
 	if f := d.ErrorFactor(); f > 0 {

@@ -13,6 +13,11 @@ import "fmt"
 // runs; past it the pairwise closed-form bound takes over.
 const enumLimit = 1 << 20
 
+// Enumerable reports whether a channel with the given number of
+// dynamic outputs is analysed by exact enumeration (the "exact" search
+// method) rather than by the pairwise bound.
+func Enumerable(outputs int64) bool { return outputs <= enumLimit }
+
 // Analysis carries one channel's skew computation: built once per
 // channel, queried for the minimum skew, then — after the driver picks
 // the global maximum across channels — for the queue occupancy at that
@@ -33,7 +38,7 @@ func NewAnalysis(out, in *Prog) (*Analysis, error) {
 	if a.countO != a.countI {
 		return nil, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", a.countO, a.countI)
 	}
-	if a.countO <= enumLimit {
+	if Enumerable(a.countO) {
 		a.exact = true
 		a.to = out.Times(Output)
 		a.ti = in.Times(Input)

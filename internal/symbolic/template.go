@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -14,6 +15,8 @@ import (
 	"warp/internal/mcode"
 	"warp/internal/obs"
 	"warp/internal/prof"
+	"warp/internal/skew"
+	"warp/internal/verify"
 	"warp/internal/w2"
 )
 
@@ -231,6 +234,12 @@ func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder
 	}
 
 	c, err := t.instantiateClass(cls, period, bounds, conc)
+	var verr *verify.Error
+	if errors.As(err, &verr) {
+		// Past a verifier cap at these bounds: a concrete verified
+		// compile rejects with exactly this error.
+		return nil, nil, err
+	}
 	if err != nil {
 		return t.fallback(conc, bounds, rec, err.Error())
 	}
@@ -642,9 +651,30 @@ func (t *Template) instantiateClass(cls *class, period int64, bounds map[string]
 	if err := validateInstance(c); err != nil {
 		return nil, err
 	}
+	c.Timing = cellgen.Timing(c.Cell)
+	// The skew search switches method at a size limit, and the method
+	// decides the skew and the search record; the class base's method
+	// holds only on its own side of the limit.
+	for ch, tp := range c.Timing {
+		exact := skew.Enumerable(tp.Count(skew.Output))
+		for _, rec := range c.Sched.Skews {
+			if rec.Channel == fmt.Sprint(ch) && (rec.Method == "exact") != exact {
+				return nil, fmt.Errorf("channel %s skew search changes method at these bounds", ch)
+			}
+		}
+	}
+	if t.Opts.Verify {
+		// The inherited proof was made at the class base's size; the
+		// verifier's size caps must be re-discharged at this one.
+		if err := verify.CheckCaps(verify.Program{
+			Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host,
+			Skew: c.Skew, Lead: c.IUGen.Prologue + 1,
+		}); err != nil {
+			return nil, err
+		}
+	}
 	c.Src = conc
 	c.Debug = prof.BuildDebugMap(c.Module.Name, conc, c.Cell)
-	c.Timing = cellgen.Timing(c.Cell)
 	return c, nil
 }
 

@@ -269,3 +269,93 @@ func firstDiff(want, got string) string {
 	}
 	return fmt.Sprintf("lengths differ: concrete %d lines, instantiated %d lines", len(wl), len(gl))
 }
+
+// deepPolynomialSym is PolynomialSym with each point's Horner step
+// iterated 16 times: ~180 cycles per point against one stream word, so
+// it crosses the verifier's cycle caps at a problem size whose streams
+// are small.
+func deepPolynomialSym() string {
+	src := strings.Replace(workloads.PolynomialSym(),
+		"ans := coeff + yin*xin;",
+		"ans := yin;\n            for j := 0 to 15 do begin ans := coeff + ans*xin; end;", 1)
+	return strings.Replace(src, "int i;", "int i, j;", 1)
+}
+
+// TestInstantiationRejectsPastVerifierCaps: an instantiation inherits
+// its class base's proof, so past a verifier size cap it must reject
+// exactly as a concrete verified compile does — the same unproven
+// error — rather than claim "verified".  PolynomialSym at 2M points
+// also crosses the skew search's method limit and is served by a
+// concrete fallback; the deep-loop variant (160 cycles per point)
+// crosses the cycle cap while its streams stay under that limit, so
+// the closed-form cap check rejects it without any concrete compile.
+func TestInstantiationRejectsPastVerifierCaps(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		src        string
+		npoints    int64
+		noFallback bool
+	}{
+		{"polynomial", workloads.PolynomialSym(), 2000000, false},
+		{"deep-loop", deepPolynomialSym(), 200000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := driver.Options{Verify: true}
+			tmpl, err := CompileTemplate(tc.src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Build the class at a small size first, so the large point
+			// is served from the fitted closed forms.
+			if _, d, err := tmpl.InstantiateObserved(map[string]int64{"ncoef": 10, "npoints": 64}, nil); err != nil || !d.Symbolic {
+				t.Fatalf("class base: detail %+v, error %v", d, err)
+			}
+			fallbacks := tmpl.Stats().Fallbacks
+			bounds := map[string]int64{"ncoef": 10, "npoints": tc.npoints}
+			_, ierr := tmpl.Instantiate(bounds)
+			if tc.noFallback && tmpl.Stats().Fallbacks != fallbacks {
+				t.Errorf("rejection went through a concrete fallback compile")
+			}
+			conc, err := tmpl.Source.Concrete(bounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, cerr := driver.Compile(conc, opts)
+			if ierr == nil || cerr == nil {
+				t.Fatalf("instantiation error %v, concrete error %v: both must reject", ierr, cerr)
+			}
+			if ierr.Error() != cerr.Error() {
+				t.Fatalf("errors differ:\ntemplate: %v\nconcrete: %v", ierr, cerr)
+			}
+			if !strings.Contains(ierr.Error(), "verify: [unproven]") {
+				t.Fatalf("error %q is not the verifier's unproven rejection", ierr)
+			}
+		})
+	}
+}
+
+// TestSkewMethodLimitFallsBack: the skew search switches from exact
+// enumeration to the pairwise bound past a stream-size limit, which
+// changes the search record (and may change the skew), so a class
+// fitted below the limit must not serve bounds above it.
+func TestSkewMethodLimitFallsBack(t *testing.T) {
+	tmpl, err := CompileTemplate(workloads.PolynomialSym(), driver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, d, err := tmpl.InstantiateObserved(map[string]int64{"ncoef": 2, "npoints": 64}, nil); err != nil || !d.Symbolic {
+		t.Fatalf("class base: detail %+v, error %v", d, err)
+	}
+	c, d, err := tmpl.InstantiateObserved(map[string]int64{"ncoef": 2, "npoints": 1<<20 + 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Symbolic || !strings.Contains(d.FallbackReason, "skew search changes method") {
+		t.Fatalf("served past the skew enumeration limit: detail %+v", d)
+	}
+	for _, rec := range c.Sched.Skews {
+		if rec.Method != "bound" {
+			t.Errorf("channel %s searched by %q, want the pairwise bound", rec.Channel, rec.Method)
+		}
+	}
+}

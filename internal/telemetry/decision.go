@@ -38,6 +38,9 @@ type Decision struct {
 	// "auto-verified", "unverified", "profile-requested",
 	// "cycle-recorder", or "no-fast-plan".
 	Reason string `json:"reason"`
+	// Detail names the cause behind a fallback reason: for
+	// "no-fast-plan", the fast-plan build error.  Empty otherwise.
+	Detail string `json:"detail,omitempty"`
 	// PredictedCycles is the closed-form modeled machine cycle count
 	// (lead + (cells-1)·skew + cell cycles) — the simulator cost input.
 	// On deterministic workloads it matches the simulator's count

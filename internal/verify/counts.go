@@ -62,19 +62,6 @@ func symbolicOccBound(body []snode, skewCycles int64, rate int64) int64 {
 	return hi + window
 }
 
-// symbolicWindowBound bounds the peak occupancy of a queue whose pushes
-// and pops are the same event stream shifted by skew cycles (the Adr
-// and Sig queues between cells: each cell forwards the word the cycle
-// it consumes it).  Occupancy is the event count in a skew-cycle
-// window, at most min(skew·rate, total).
-func symbolicWindowBound(total, skewCycles, rate int64) int64 {
-	w := skewCycles * rate
-	if total < w {
-		return total
-	}
-	return w
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

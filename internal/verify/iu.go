@@ -68,7 +68,6 @@ type iuEmu struct {
 	regs    [mcode.IUNumRegs]int64
 	pending []iuWrite
 	t       int64
-	limit   int64
 	tblPos  int
 	table   []int64
 	index   map[*mcode.IUInstr]int
@@ -77,45 +76,35 @@ type iuEmu struct {
 }
 
 // emulateIU runs the IU program to completion, collecting the emitted
-// streams.  It returns false when the program exceeds limit cycles; the
-// trace is then incomplete and must not be used.  Table overreads are
-// reported as diagnostics and read as zero so emulation can continue
-// and surface further violations.
-func emulateIU(p *mcode.IUProgram, limit int64, col *collector) (*iuTrace, bool) {
+// streams; callers emulate only programs within emuCycleLimit cycles.
+// Table overreads are reported as diagnostics and read as zero so
+// emulation can continue and surface further violations.
+func emulateIU(p *mcode.IUProgram, col *collector) *iuTrace {
 	e := &iuEmu{
-		limit: limit,
 		table: p.Table,
 		index: indexIU(p),
 		trace: &iuTrace{},
 		col:   col,
 	}
-	if !e.run(p.Items, 0) {
-		return nil, false
-	}
+	e.run(p.Items, 0)
 	e.trace.cycles = e.t
 	e.trace.tableRead = e.tblPos
-	return e.trace, true
+	return e.trace
 }
 
-func (e *iuEmu) run(items []mcode.IUItem, iter int64) bool {
+func (e *iuEmu) run(items []mcode.IUItem, iter int64) {
 	for _, it := range items {
 		switch it := it.(type) {
 		case *mcode.IUStraight:
 			for _, in := range it.Instrs {
-				if e.t >= e.limit {
-					return false
-				}
 				e.step(in, iter)
 			}
 		case *mcode.IULoop:
 			for k := int64(0); k < it.Trips; k++ {
-				if !e.run(it.Body, k) {
-					return false
-				}
+				e.run(it.Body, k)
 			}
 		}
 	}
-	return true
 }
 
 // step executes one IU cycle, mirroring sim.stepIU: pending register

@@ -46,11 +46,10 @@ type event struct {
 
 // cellStreams is everything the verifier derives from one cell program.
 type cellStreams struct {
-	data    map[w2.Channel][]snode // send/recv deltas per data channel
-	mem     []snode                // memory references (Adr-queue pops), send=count
-	cycles  int64                  // total program length in cycles
-	maxNest int                    // deepest loop nesting (signal rate bound)
-	index   map[*mcode.Instr]int   // static instruction numbering, listing order
+	data   map[w2.Channel][]snode // send/recv deltas per data channel
+	mem    []snode                // memory references (Adr-queue pops), send=count
+	cycles int64                  // total program length in cycles
+	index  map[*mcode.Instr]int   // static instruction numbering, listing order
 }
 
 // buildCellStreams walks the cell program once, structurally.
@@ -60,11 +59,8 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 		index: map[*mcode.Instr]int{},
 	}
 	idx := 0
-	var walk func(items []mcode.CodeItem, depth int) (length int64, data map[w2.Channel][]snode, mem []snode)
-	walk = func(items []mcode.CodeItem, depth int) (int64, map[w2.Channel][]snode, []snode) {
-		if depth > cs.maxNest {
-			cs.maxNest = depth
-		}
+	var walk func(items []mcode.CodeItem) (length int64, data map[w2.Channel][]snode, mem []snode)
+	walk = func(items []mcode.CodeItem) (int64, map[w2.Channel][]snode, []snode) {
 		var at int64
 		data := map[w2.Channel][]snode{}
 		var mem []snode
@@ -110,7 +106,7 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 				}
 				at += int64(len(it.Instrs))
 			case *mcode.LoopItem:
-				n, innerData, innerMem := walk(it.Body, depth+1)
+				n, innerData, innerMem := walk(it.Body)
 				for ch, body := range innerData {
 					if len(body) == 0 {
 						continue
@@ -129,7 +125,7 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 		}
 		return at, data, mem
 	}
-	length, data, mem := walk(p.Items, 0)
+	length, data, mem := walk(p.Items)
 	cs.cycles = length
 	for ch, body := range data {
 		cs.data[ch] = body
@@ -187,26 +183,20 @@ func treeCount(body []snode) (sends, recvs int64) {
 
 // flatten enumerates every dynamic event of the selected kind in time
 // order, shifted by base.  pick selects how many events a leaf yields
-// (sends or recvs).  It returns false once the limit would be exceeded;
-// the caller falls back to the symbolic path.
-func flatten(body []snode, base int64, pick func(snode) int, out *[]event, limit int) bool {
+// (sends or recvs).  Callers enumerate only streams within
+// enumEventLimit.
+func flatten(body []snode, base int64, pick func(snode) int, out *[]event) {
 	for _, n := range body {
 		if n.loop != nil {
 			for i := int64(0); i < n.loop.trips; i++ {
-				if !flatten(n.loop.body, base+n.loop.at+i*n.loop.iterLen, pick, out, limit) {
-					return false
-				}
+				flatten(n.loop.body, base+n.loop.at+i*n.loop.iterLen, pick, out)
 			}
 			continue
 		}
 		for k := 0; k < pick(n); k++ {
-			if len(*out) >= limit {
-				return false
-			}
 			*out = append(*out, event{at: base + n.at, instr: n.instr})
 		}
 	}
-	return true
 }
 
 func pickSend(n snode) int { return n.send }
@@ -223,32 +213,24 @@ type boundary struct {
 
 // cellBoundaries enumerates the boundary-crossing sequence by full
 // expansion of the cell program, mirroring the simulator's sequencer.
-// Returns false if the walk exceeds limit cycles.
-func cellBoundaries(p *mcode.CellProgram, limit int64) ([]boundary, bool) {
+// Callers enumerate only programs within emuCycleLimit cycles.
+func cellBoundaries(p *mcode.CellProgram) []boundary {
 	var out []boundary
 	var t int64
-	var walk func(items []mcode.CodeItem) bool
-	walk = func(items []mcode.CodeItem) bool {
+	var walk func(items []mcode.CodeItem)
+	walk = func(items []mcode.CodeItem) {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.Straight:
 				t += int64(len(it.Instrs))
-				if t > limit {
-					return false
-				}
 			case *mcode.LoopItem:
 				for k := int64(0); k < it.Trips; k++ {
-					if !walk(it.Body) {
-						return false
-					}
+					walk(it.Body)
 					out = append(out, boundary{at: t - 1, id: it.ID, more: k+1 < it.Trips})
 				}
 			}
 		}
-		return true
 	}
-	if !walk(p.Items) {
-		return nil, false
-	}
-	return out, true
+	walk(p.Items)
+	return out
 }

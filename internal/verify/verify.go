@@ -23,7 +23,10 @@
 //
 // Verification is conservative: a program too large for the exact
 // analyses whose symbolic bounds cannot discharge an obligation is
-// rejected as unprovable (InvUnproven), never accepted unchecked.
+// rejected as unprovable (InvUnproven), never accepted unchecked.  Every
+// such cap is evaluated in closed form, up front, by CheckCaps — the
+// same check symbolic instantiation runs on programs it did not verify
+// itself, so both reject identically.
 package verify
 
 import (
@@ -32,13 +35,13 @@ import (
 	"warp/internal/conc"
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
-	"warp/internal/skew"
 	"warp/internal/w2"
 )
 
 // Analysis effort caps.  Every practical program fits well inside them;
 // beyond, the verifier falls back to symbolic bounds or rejects with
-// InvUnproven rather than silently accepting.
+// InvUnproven rather than silently accepting.  capDiags evaluates all of
+// them before any exact analysis runs.
 const (
 	// enumEventLimit caps the dynamic events enumerated per stream.
 	enumEventLimit = 1 << 22
@@ -149,6 +152,12 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 	}
 	rep.MemRefs, _ = treeCount(cs.mem)
 	rep.Signals = countSignals(p.Cell.Items, 1)
+
+	// A program past an analysis cap is unprovable whatever else holds;
+	// the exact analyses below then never meet an oversized stream.
+	if diags := capDiags(p, cs); len(diags) > 0 {
+		return nil, &Error{Diags: diags}
+	}
 
 	// Independent invariant groups.  Each runs against a shadow report
 	// seeded with the shared totals and a private collector; shadows
@@ -346,8 +355,8 @@ func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
 
 		if sends <= enumEventLimit {
 			var pushes, pops []event
-			flatten(body, 0, pickSend, &pushes, enumEventLimit)
-			flatten(body, 0, pickRecv, &pops, enumEventLimit)
+			flatten(body, 0, pickSend, &pushes)
+			flatten(body, 0, pickRecv, &pops)
 			res := sweep(pushes, pops, 0, p.Skew, mcode.QueueDepth)
 			if res.underAt >= 0 {
 				col.add(Diagnostic{Invariant: InvSkew, Cell: -1, Instr: res.underInstr, Loop: -1,
@@ -367,31 +376,13 @@ func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
 			continue
 		}
 
-		// Symbolic path: occupancy bound from per-loop counting, and
-		// skew coverage from the paper's pairwise timing-function bound
-		// (both independent of trip counts).
-		bound := symbolicOccBound(body, p.Skew, 1)
-		if bound > mcode.QueueDepth {
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("channel %s: symbolic occupancy bound %d exceeds %d and the %d-event stream is too large to enumerate",
-					ch, bound, mcode.QueueDepth, sends)})
-		} else {
-			col.ok()
-		}
-		sp := skewProg(body, cs.cycles)
-		b, _, err := skew.MinSkewBound(sp, sp, skew.BoundTight)
-		switch {
-		case err != nil:
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("channel %s: skew bound failed: %v", ch, err)})
-		case b.Cmp(skew.RI(p.Skew)) > 0:
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("channel %s: cannot prove skew %d covers every receive (symbolic minimum-skew bound %s) and the stream is too large to enumerate",
-					ch, p.Skew, b)})
-		default:
-			col.ok()
-		}
-		rep.Data[ch] = Occ{Max: bound, Method: "symbolic"}
+		// Symbolic path: capDiags has already discharged the occupancy
+		// bound from per-loop counting and the skew coverage from the
+		// paper's pairwise timing-function bound (both independent of
+		// trip counts).
+		col.ok()
+		col.ok()
+		rep.Data[ch] = Occ{Max: symbolicOccBound(body, p.Skew, 1), Method: "symbolic"}
 	}
 }
 
@@ -400,57 +391,39 @@ func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
 // so the downstream queue's pops replay its pushes exactly skew cycles
 // later: underflow is impossible (skew ≥ 1 and upstream steps first),
 // and peak occupancy is the largest event count in a skew-cycle window.
+// capDiags guarantees both streams are small enough to enumerate.
 func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
-	check := func(name string, times []int64, enumerated bool, total, rate int64, inv Invariant) Occ {
-		if total == 0 {
+	check := func(name string, times []int64) Occ {
+		if len(times) == 0 {
 			return Occ{}
 		}
-		if enumerated {
-			occ := maxWindow(times, p.Skew)
-			if occ > mcode.QueueDepth {
-				col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: -1, Loop: -1,
-					Detail: fmt.Sprintf("%s queue: %d words in one %d-cycle window (> %d)", name, occ, p.Skew, mcode.QueueDepth)})
-			} else {
-				col.ok()
-			}
-			return Occ{Max: occ, Method: "exact"}
-		}
-		bound := symbolicWindowBound(total, p.Skew, rate)
-		if bound > mcode.QueueDepth {
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("%s queue: symbolic bound %d exceeds %d and the stream is too large to enumerate", name, bound, mcode.QueueDepth)})
+		occ := maxWindow(times, p.Skew)
+		if occ > mcode.QueueDepth {
+			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: -1, Loop: -1,
+				Detail: fmt.Sprintf("%s queue: %d words in one %d-cycle window (> %d)", name, occ, p.Skew, mcode.QueueDepth)})
 		} else {
 			col.ok()
 		}
-		return Occ{Max: bound, Method: "symbolic"}
+		return Occ{Max: occ, Method: "exact"}
 	}
 
-	var memTimes []int64
-	memEnum := rep.MemRefs <= enumEventLimit
-	if memEnum {
-		var evs []event
-		flatten(cs.mem, 0, pickSend, &evs, enumEventLimit)
-		memTimes = make([]int64, len(evs))
-		for i, e := range evs {
-			memTimes[i] = e.at
-		}
+	var evs []event
+	flatten(cs.mem, 0, pickSend, &evs)
+	memTimes := make([]int64, len(evs))
+	for i, e := range evs {
+		memTimes[i] = e.at
 	}
-	rep.Adr = check("Adr", memTimes, memEnum, rep.MemRefs, mcode.MemPorts, InvAddrStream)
+	rep.Adr = check("Adr", memTimes)
 
-	bounds, bEnum := cellBoundaries(p.Cell, emuCycleLimit)
-	var bTimes []int64
-	if bEnum {
-		bTimes = make([]int64, len(bounds))
-		for i, b := range bounds {
-			bTimes[i] = b.at
-		}
+	bounds := cellBoundaries(p.Cell)
+	bTimes := make([]int64, len(bounds))
+	for i, b := range bounds {
+		bTimes[i] = b.at
 	}
-	// A cycle can cross at most maxNest boundaries (one per enclosing
-	// loop level), which bounds the signal rate.
-	rep.Sig = check("Sig", bTimes, bEnum, rep.Signals, int64(cs.maxNest), InvSigStream)
+	rep.Sig = check("Sig", bTimes)
 }
 
 // checkIUStreams emulates the IU and verifies its two output streams
@@ -459,12 +432,7 @@ func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collect
 // signal stream (exact sequence equality with the sequencer's boundary
 // crossings, arrival, occupancy).
 func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
-	trace, ok := emulateIU(p.IU, emuCycleLimit, col)
-	if !ok {
-		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU program exceeds %d cycles; address and signal streams cannot be verified", int64(emuCycleLimit))})
-		return
-	}
+	trace := emulateIU(p.IU, col)
 
 	// Address table must be consumed exactly.
 	if trace.tableRead < len(p.IU.Table) {
@@ -491,10 +459,10 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	if n := int64(len(trace.adr)); n != rep.MemRefs {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
 			Detail: fmt.Sprintf("IU emits %d addresses but each cell makes %d memory references", n, rep.MemRefs)})
-	} else if rep.MemRefs <= enumEventLimit {
+	} else {
 		col.ok()
 		var pops []event
-		flatten(cs.mem, 0, pickSend, &pops, enumEventLimit)
+		flatten(cs.mem, 0, pickSend, &pops)
 		pushes := make([]event, len(trace.adr))
 		for i, a := range trace.adr {
 			pushes[i] = event{at: a.at, instr: a.instr}
@@ -516,18 +484,10 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 		if rep.Adr.Method == "" || res.maxOcc > rep.Adr.Max {
 			rep.Adr = Occ{Max: res.maxOcc, Method: "exact"}
 		}
-	} else {
-		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("%d memory references are too many to enumerate; Adr timing into cell 0 unproven", rep.MemRefs)})
 	}
 
 	// Signal stream vs the sequencer's boundary crossings.
-	bounds, bEnum := cellBoundaries(p.Cell, emuCycleLimit)
-	if !bEnum {
-		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-			Detail: "cell program too large to enumerate loop boundaries; signal stream unproven"})
-		return
-	}
+	bounds := cellBoundaries(p.Cell)
 	if len(trace.sigs) != len(bounds) {
 		col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: -1, Loop: -1,
 			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", len(trace.sigs), len(bounds))})

@@ -5,7 +5,12 @@
 # with verification, runs it on the cycle-accurate simulator AND the
 # fast dataflow executor, and exits non-zero unless the modeled cycle
 # counts agree exactly and every output word is bit-identical.  Both
-# the list-scheduled and the software-pipelined schedules run.
+# the list-scheduled and the software-pipelined schedules run, at the
+# paper's sizes (colorseg is a 512x512 image on ten cells).
+#
+# The list-scheduled colorseg runs nearly 9M cycles per cell; an auto
+# run of it must report the fast backend, proving plans carry no size
+# cap that would send it back to the simulator.
 #
 # Fabric: each example problem spec is farmed across 1 and 4 arrays on
 # the fast backend with -check, which stitches the tiles and compares
@@ -19,12 +24,15 @@ bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/warpsim" ./cmd/warpsim
 
-for w in matmul polynomial conv1d binop fft; do
+for w in matmul polynomial conv1d binop fft colorseg mandelbrot; do
     for flags in "" "-pipeline"; do
         echo "== crosscheck $w $flags =="
         "$bin/warpsim" -crosscheck $flags "$w" | grep "crosscheck: backends agree"
     done
 done
+
+echo "== auto backend for list-scheduled colorseg =="
+"$bin/warpsim" -stats colorseg | grep "decision: backend fast (auto-verified)"
 
 for spec in examples/fabric/*.json; do
     for arrays in 1 4; do

@@ -96,7 +96,7 @@ func TestBackendAuto(t *testing.T) {
 	}
 	inputs := matmulInputs(8)
 
-	if _, rs, err := verified.Run(inputs); err != nil {
+	if _, rs, err := verified.RunWith(warp.RunConfig{}, inputs); err != nil {
 		t.Fatal(err)
 	} else if rs.Backend != warp.BackendFast {
 		t.Errorf("verified auto run used backend %q, want %q", rs.Backend, warp.BackendFast)
@@ -111,7 +111,7 @@ func TestBackendAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rs, err := unverified.Run(inputs); err != nil {
+	if _, rs, err := unverified.RunWith(warp.RunConfig{}, inputs); err != nil {
 		t.Fatal(err)
 	} else if rs.Backend != warp.BackendSim {
 		t.Errorf("unverified auto run used backend %q, want %q", rs.Backend, warp.BackendSim)

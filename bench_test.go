@@ -150,7 +150,7 @@ func benchSim(b *testing.B, src string, inputs map[string][]float64, results int
 	}
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := prog.Run(inputs)
+		_, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	}
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := prog.Run(inputs)
+		_, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func BenchmarkFFT1024_Simulate(b *testing.B) {
 	}
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := prog.Run(inputs)
+		_, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 		if err != nil {
 			b.Fatal(err)
 		}

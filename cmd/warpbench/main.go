@@ -446,7 +446,7 @@ func throughput() error {
 				if err != nil {
 					return 0, nil, err
 				}
-				_, stats, err := prog.Run(s.in)
+				_, stats, err := prog.RunWith(warp.RunConfig{}, s.in)
 				if err != nil {
 					return 0, nil, err
 				}
@@ -511,7 +511,7 @@ func utilization() error {
 			// Stream the Chrome trace to a scratch buffer so the full
 			// recorder path runs, then report from the profile.
 			var trace bytes.Buffer
-			_, stats, err := prog.RunTraced(j.in, &trace)
+			_, stats, err := prog.RunWith(warp.RunConfig{Trace: &trace}, j.in)
 			if err != nil {
 				errs[i] = err
 				return
@@ -559,11 +559,11 @@ func hotspot() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
-		sp, err := prog.SourceProfile(j.in)
+		_, rs, err := prog.RunWith(warp.RunConfig{Profile: true}, j.in)
 		if err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
-		fmt.Printf("--- %s ---\n%s\n%s\n", j.name, sp.Report(), prog.SchedReport())
+		fmt.Printf("--- %s ---\n%s\n%s\n", j.name, rs.Source.Report(), prog.SchedReport())
 	}
 	return nil
 }

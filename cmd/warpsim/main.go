@@ -194,21 +194,22 @@ func main() {
 			fail(fmt.Errorf("-crosscheck needs both backends plain; drop -trace/-profile/-flame/-pprof"))
 		}
 		out, rstats = runCrossCheck(prog, inputs, *maxCycles)
-	} else if traceFile != nil {
-		out, rstats, err = prog.RunTracedWith(runCfg, inputs, traceFile)
-		if cerr := traceFile.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		tick.Stop()
-		if err != nil {
-			failRun(err, *maxCycles)
-		}
-		fmt.Printf("trace: wrote %s (load in https://ui.perfetto.dev)\n", *tracePath)
 	} else {
+		if traceFile != nil {
+			runCfg.Trace = traceFile
+		}
 		out, rstats, err = prog.RunWith(runCfg, inputs)
+		if traceFile != nil {
+			if cerr := traceFile.Close(); err == nil && cerr != nil {
+				err = cerr
+			}
+		}
 		tick.Stop()
 		if err != nil {
 			failRun(err, *maxCycles)
+		}
+		if traceFile != nil {
+			fmt.Printf("trace: wrote %s (load in https://ui.perfetto.dev)\n", *tracePath)
 		}
 	}
 	m := prog.Metrics()

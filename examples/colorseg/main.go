@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	inputs := map[string][]float64{"refs": refs, "image": image}
-	out, stats, err := prog.Run(inputs)
+	out, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

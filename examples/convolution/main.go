@@ -32,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, stats, err := prog.Run(inputs)
+		out, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func main() {
 		"twid": workloads.FFTTwiddles(n),
 		"x":    x,
 	}
-	out, stats, err := prog.Run(inputs)
+	out, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("compiled %dx%d matmul for %d cells: %d cell instrs, %d IU instrs, %d IU address registers, %d table words\n",
 		n, n, m.Cells, m.CellInstrs, m.IUInstrs, m.IUAddrRegs, m.IUTable)
 
-	out, stats, err := prog.Run(map[string][]float64{"a": a, "bmat": b})
+	out, stats, err := prog.RunWith(warp.RunConfig{}, map[string][]float64{"a": a, "bmat": b})
 	if err != nil {
 		log.Fatal(err)
 	}

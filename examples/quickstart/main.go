@@ -65,7 +65,7 @@ func main() {
 	for i := range c {
 		c[i] = float64(i + 1)
 	}
-	out, stats, err := prog.Run(map[string][]float64{"z": z, "c": c})
+	out, stats, err := prog.RunWith(warp.RunConfig{}, map[string][]float64{"z": z, "c": c})
 	if err != nil {
 		log.Fatal(err)
 	}

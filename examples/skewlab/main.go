@@ -102,7 +102,7 @@ func main() {
 	for i := range inputs["xs"] {
 		inputs["xs"][i] = float64(i) / 4
 	}
-	out, stats, err := prog.Run(inputs)
+	out, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -420,7 +420,7 @@ func RunWorkers(iters, compileWorkers int) (*Report, error) {
 		durs := make([]time.Duration, iters)
 		for i := 0; i < iters; i++ {
 			start := time.Now()
-			_, rs, err = prog.Run(inputs)
+			_, rs, err = prog.RunWith(warp.RunConfig{}, inputs)
 			durs[i] = time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("run/%s: %w", rc.name, err)

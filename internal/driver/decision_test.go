@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,6 +141,22 @@ func TestDecisionReasons(t *testing.T) {
 			}
 		})
 	}
+	// The reason set is closed: the cases above cover every reason the
+	// Decision documents, and nothing else.
+	want := []string{"auto-verified", "cycle-recorder", "explicit-fast", "explicit-sim",
+		"no-fast-plan", "profile-requested", "unverified"}
+	seen := map[string]bool{}
+	for _, tc := range cases {
+		seen[tc.wantReason] = true
+	}
+	var got []string
+	for r := range seen {
+		got = append(got, r)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reason set = %v, want %v", got, want)
+	}
 	if _, _, err := chooseBackend(unverified, RunOptions{Backend: BackendFast}); err == nil {
 		t.Error("fast-on-unverified must still fail")
 	}
@@ -147,7 +165,8 @@ func TestDecisionReasons(t *testing.T) {
 	}
 }
 
-// countingRec is a minimal cycle-observing recorder.
+// countingRec is a minimal cycle-level recorder; it has no Phase
+// method, so the recorder alone keeps an auto run on the simulator.
 type countingRec struct {
 	n int64
 }
@@ -162,7 +181,6 @@ func (r *countingRec) QueuePush(int64, int, obs.Queue, int) {
 }
 func (r *countingRec) QueuePop(int64, int, obs.Queue, int) {}
 func (r *countingRec) Stall(int64, int, obs.Stall)         {}
-func (r *countingRec) Phase(string, float64, int, string)  {}
 
 // TestCostModelCalibrated checks the per-host self-benchmark produced
 // usable constants (positive, finite, not absurdly large).

@@ -60,32 +60,9 @@ type Options struct {
 	// counters — is byte-identical at every setting; only wall-clock
 	// measurements (phase timings, search nanoseconds) vary.
 	CompileWorkers int
-	// Recorder receives one Phase event per compiler phase (and is
-	// forwarded to the simulator by RunObserved's callers).  nil
-	// disables emission; Compiled.Phases is recorded either way.
-	Recorder obs.Recorder
-	// Symbolic routes the compile through the symbolic template
-	// subsystem: src is ${...}-parameterized W2, Bounds supplies the
-	// parameter values, and the artifact is instantiated from a cached
-	// template's closed forms when possible (byte-identical to the
-	// concrete compile of the substituted source).  Requires the
-	// symbolic package to be linked in (importing the warp package or
-	// internal/symbolic registers it).
-	Symbolic bool
-	// Bounds are the template parameter values for a Symbolic compile.
-	Bounds map[string]int64
-}
-
-// symbolicCompile is the registered symbolic-compilation hook.  The
-// symbolic subsystem lives above this package (it drives Compile for
-// its probe grid), so the dependency is inverted: internal/symbolic
-// registers itself at init and Compile dispatches through the hook.
-var symbolicCompile func(src string, opts Options) (*Compiled, error)
-
-// RegisterSymbolic installs the symbolic-compilation hook; called from
-// internal/symbolic's init.
-func RegisterSymbolic(fn func(src string, opts Options) (*Compiled, error)) {
-	symbolicCompile = fn
+	// Recorder receives one event per compiler phase.  nil disables
+	// emission; Compiled.Phases is recorded either way.
+	Recorder obs.PhaseSink
 }
 
 // Compiled is the full result of compiling one W2 module.
@@ -206,12 +183,6 @@ func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 // the plain schedule; the rollback is recorded in PipelineBackoff,
 // BackoffReason and a "pipeline-backoff" phase entry.
 func Compile(src string, opts Options) (*Compiled, error) {
-	if opts.Symbolic {
-		if symbolicCompile == nil {
-			return nil, errors.New("driver: symbolic compilation not linked in (import warp or warp/internal/symbolic)")
-		}
-		return symbolicCompile(src, opts)
-	}
 	c, err := compile(src, opts)
 	// A verification failure is a verdict on the pipelined schedule
 	// itself, not an IU capacity limit: report it rather than silently
@@ -232,15 +203,21 @@ func Compile(src string, opts Options) (*Compiled, error) {
 }
 
 // phase appends one per-phase timing record ending now and forwards it
-// to the recorder, if any.  Serial phases run on worker lane 0.
-func (c *Compiled) phase(rec obs.Recorder, name string, start time.Time, size int, note string) {
-	d := time.Since(start).Seconds()
+// to the sink, if any.  Serial phases run on worker lane 0.
+func (c *Compiled) phase(rec obs.PhaseSink, name string, start time.Time, size int, note string) {
 	off := start.Sub(c.t0).Seconds()
 	if off < 0 {
 		off = 0
 	}
-	c.Phases = append(c.Phases, obs.PhaseStat{Name: name, Seconds: d, Size: size, Note: note, Start: off})
-	obs.RecordPhaseAt(rec, name, off, d, 0, size, note)
+	c.emit(rec, obs.PhaseStat{Name: name, Seconds: time.Since(start).Seconds(), Size: size, Note: note, Start: off})
+}
+
+// emit appends one phase record and forwards it to the sink, if any.
+func (c *Compiled) emit(rec obs.PhaseSink, p obs.PhaseStat) {
+	c.Phases = append(c.Phases, p)
+	if rec != nil {
+		rec.Phase(p)
+	}
 }
 
 func compile(src string, opts Options) (*Compiled, error) {
@@ -468,8 +445,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 	}
 	for _, ps := range logs {
 		for _, p := range ps {
-			c.Phases = append(c.Phases, p)
-			obs.RecordPhaseAt(rec, p.Name, p.Start, p.Seconds, p.Worker, p.Size, p.Note)
+			c.emit(rec, p)
 		}
 	}
 	return c, nil
@@ -488,8 +464,9 @@ func countLines(src string) int {
 // Execution backend names (RunOptions.Backend).
 const (
 	// BackendAuto picks the fast dataflow executor when the program is
-	// verified and the run needs no per-cycle observability, falling
-	// back to the cycle-accurate simulator otherwise.
+	// verified and the run needs no per-cycle observability (no
+	// Recorder, no Profile), falling back to the cycle-accurate
+	// simulator otherwise.
 	BackendAuto = "auto"
 	// BackendSim forces the cycle-accurate simulator.
 	BackendSim = "sim"
@@ -510,7 +487,8 @@ type RunOptions struct {
 	// Ctx, when non-nil, aborts the simulation once cancelled (polled
 	// every few thousand cycles; see sim.Config.Ctx).
 	Ctx context.Context
-	// Recorder receives per-cycle instrumentation events.
+	// Recorder receives per-cycle instrumentation events; any non-nil
+	// Recorder keeps an auto run on the simulator.
 	Recorder obs.Recorder
 	// MaxCycles overrides the runaway-simulation guard (0 keeps the
 	// sim default of 1<<28).
@@ -563,9 +541,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		// The fast path models cycles instead of observing them, so any
 		// run that wants per-cycle instrumentation stays on the
 		// simulator; so does an unverified program (no proofs, no
-		// shortcut) or one whose plan cannot be built.  Phase-only
-		// recorders (request-trace span adapters) see nothing at run
-		// time and do not block the fast path.
+		// shortcut) or one whose plan cannot be built.
 		switch {
 		case c.Verified == nil:
 			// No plan build for the prediction either: an unverified
@@ -574,7 +550,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		case o.Profile:
 			d.Backend, d.Reason = BackendSim, "profile-requested"
 			fillFast()
-		case obs.CycleObserved(o.Recorder):
+		case o.Recorder != nil:
 			d.Backend, d.Reason = BackendSim, "cycle-recorder"
 			fillFast()
 		default:
@@ -601,17 +577,6 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		return "", nil, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)
 	}
 	return d.Backend, d, nil
-}
-
-// Run executes the compiled program on the simulated Warp machine.
-func Run(c *Compiled, inputs map[string][]float64) (map[string][]float64, *sim.Stats, error) {
-	return RunWith(c, inputs, RunOptions{})
-}
-
-// RunObserved executes the compiled program with an instrumentation
-// recorder attached to the simulator.
-func RunObserved(c *Compiled, inputs map[string][]float64, rec obs.Recorder) (map[string][]float64, *sim.Stats, error) {
-	return RunWith(c, inputs, RunOptions{Recorder: rec})
 }
 
 // RunWith executes the compiled program under the given run options.

@@ -97,7 +97,7 @@ func TestCompileEquivalenceCycles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		_, stats, err := Run(c, inputs)
+		_, stats, err := RunWith(c, inputs, RunOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d run: %v", workers, err)
 		}

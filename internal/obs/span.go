@@ -137,33 +137,9 @@ func (s *Span) AttachSummary(sum Summary) {
 	s.t.mu.Unlock()
 }
 
-// addTimed appends an already-closed span covering [end-d, end], used
-// by the Phase adapter below (compiler phases report their duration at
-// the phase boundary, after the fact).
-func (t *Trace) addTimed(name string, parent *Span, d time.Duration, attrs ...SpanAttr) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	end := int64(t.now())
-	start := end - int64(d)
-	if start < 0 {
-		start = 0
-	}
-	pid := -1
-	if parent != nil && parent.t == t {
-		pid = parent.id
-	}
-	t.spans = append(t.spans, SpanRecord{
-		ID: len(t.spans), Parent: pid, Name: name,
-		StartNS: start, EndNS: end, Attrs: attrs,
-	})
-	t.mu.Unlock()
-}
-
 // addSpanAt appends an already-closed span covering the explicit
-// [start, end] clock readings, used by the PhaseAt adapter (parallel
-// compiler phases report both endpoints).
+// [start, end] clock readings, used by the phase adapter below
+// (compiler phases report both endpoints after the fact).
 func (t *Trace) addSpanAt(name string, parent *Span, start, end time.Duration, attrs ...SpanAttr) {
 	if t == nil {
 		return
@@ -199,55 +175,38 @@ func (t *Trace) Spans() []SpanRecord {
 	return out
 }
 
-// spanPhaseRecorder adapts the compiler's Phase hook onto a span tree:
-// each Phase event becomes a closed child span whose duration is the
-// phase's reported wall-clock time.  Every cycle-level event falls
-// through to the embedded no-op recorder — per-request traces are
-// request-grained, not cycle-grained.
-type spanPhaseRecorder struct {
-	nopRecorder
+// spanPhaseSink adapts compiler phase events onto a span tree: each
+// phase becomes a closed child span placed at its true offset on the
+// compile timeline, so concurrent phases from a parallel compilation
+// render as the overlapping spans they were.
+type spanPhaseSink struct {
 	t      *Trace
 	parent *Span
 	// anchor is the trace clock at construction — the compile is about
-	// to start, so PhaseAt offsets are laid out relative to it.
+	// to start, so phase Start offsets are laid out relative to it.
 	anchor time.Duration
 }
 
-// phaseOnly marks this recorder as blind to cycle-level events, so the
-// driver's backend choice never forces a cycle-accurate run for it.
-func (r *spanPhaseRecorder) phaseOnly() {}
-
-func (r *spanPhaseRecorder) Phase(name string, seconds float64, size int, note string) {
-	attrs := []SpanAttr{{Key: "size", Value: strconv.Itoa(size)}}
-	if note != "" {
-		attrs = append(attrs, SpanAttr{Key: "note", Value: note})
-	}
-	r.t.addTimed(name, r.parent, time.Duration(seconds*float64(time.Second)), attrs...)
-}
-
-// PhaseAt places the phase at its true offset on the compile timeline,
-// so concurrent phases from a parallel compilation render as the
-// overlapping spans they were instead of a back-dated serial chain.
-func (r *spanPhaseRecorder) PhaseAt(name string, start, seconds float64, worker, size int, note string) {
+func (r *spanPhaseSink) Phase(p PhaseStat) {
 	attrs := []SpanAttr{
-		{Key: "size", Value: strconv.Itoa(size)},
-		{Key: "worker", Value: strconv.Itoa(worker)},
+		{Key: "size", Value: strconv.Itoa(p.Size)},
+		{Key: "worker", Value: strconv.Itoa(p.Worker)},
 	}
-	if note != "" {
-		attrs = append(attrs, SpanAttr{Key: "note", Value: note})
+	if p.Note != "" {
+		attrs = append(attrs, SpanAttr{Key: "note", Value: p.Note})
 	}
-	s := r.anchor + time.Duration(start*float64(time.Second))
-	r.t.addSpanAt(name, r.parent, s, s+time.Duration(seconds*float64(time.Second)), attrs...)
+	s := r.anchor + time.Duration(p.Start*float64(time.Second))
+	r.t.addSpanAt(p.Name, r.parent, s, s+time.Duration(p.Seconds*float64(time.Second)), attrs...)
 }
 
-// SpanPhases returns a Recorder that turns compiler Phase events into
-// child spans of parent.  On a nil trace it returns the no-op recorder,
-// so the disabled path stays allocation-free at the compile call site.
-func SpanPhases(t *Trace, parent *Span) Recorder {
+// SpanPhases returns a PhaseSink that turns compiler phase events into
+// child spans of parent.  On a nil trace it returns nil, so the
+// disabled path hands the compiler no sink at all.
+func SpanPhases(t *Trace, parent *Span) PhaseSink {
 	if t == nil {
-		return Nop()
+		return nil
 	}
-	r := &spanPhaseRecorder{t: t, parent: parent}
+	r := &spanPhaseSink{t: t, parent: parent}
 	t.mu.Lock()
 	r.anchor = t.now()
 	t.mu.Unlock()

@@ -24,9 +24,9 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	// The compiler reports two phases through the hook, 2ms and 3ms.
 	rec := SpanPhases(tr, cache)
 	now = 7 * time.Millisecond
-	rec.Phase("parse", 0.002, 34, "")
+	rec.Phase(PhaseStat{Name: "parse", Seconds: 0.002, Size: 34})
 	now = 10 * time.Millisecond
-	rec.Phase("cellgen", 0.003, 120, "2 loops pipelined")
+	rec.Phase(PhaseStat{Name: "cellgen", Seconds: 0.003, Size: 120, Note: "2 loops pipelined", Start: 0.002})
 	cache.End()
 	now = 12 * time.Millisecond
 	queue := tr.StartSpan("queue-wait", root)
@@ -68,12 +68,12 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	if d := byName["queue-wait"].DurNS(); d != int64(3*time.Millisecond) {
 		t.Errorf("queue-wait duration = %d (double-End must keep the first), want 3ms", d)
 	}
-	// Phase spans are back-dated by their reported duration.
+	// Phase spans sit at their Start offset from the sink's creation.
 	if p := byName["parse"]; p.StartNS != int64(5*time.Millisecond) || p.DurNS() != int64(2*time.Millisecond) {
 		t.Errorf("parse = [%d,%d], want [5ms,7ms]", p.StartNS, p.EndNS)
 	}
-	if p := byName["cellgen"]; p.DurNS() != int64(3*time.Millisecond) {
-		t.Errorf("cellgen duration = %d, want 3ms", p.DurNS())
+	if p := byName["cellgen"]; p.StartNS != int64(7*time.Millisecond) || p.DurNS() != int64(3*time.Millisecond) {
+		t.Errorf("cellgen = [%d,%d], want [7ms,10ms]", p.StartNS, p.EndNS)
 	}
 	if s := byName["run"].Summary; s == nil || s.Cycles != 225 || s.Cells != 10 {
 		t.Errorf("run summary = %+v, want cycles 225, cells 10", byName["run"].Summary)
@@ -103,8 +103,9 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 		child.Annotate("result", "hit")
 		child.AttachSummary(Summary{})
 		child.End()
-		rec := SpanPhases(tr, root)
-		rec.Phase("parse", 0.001, 10, "")
+		if SpanPhases(tr, root) != nil {
+			t.Fatal("disabled trace returned a phase sink")
+		}
 		root.End()
 		if tr.Spans() != nil {
 			t.Fatal("disabled trace returned spans")
@@ -307,7 +308,7 @@ func TestChromeTracerWriteError(t *testing.T) {
 func TestChromeTracerCloseError(t *testing.T) {
 	boom := errors.New("pipe closed")
 	tr := NewChromeTracer(&failingWriter{n: 0, err: boom})
-	tr.Phase("parse", 0.001, 10, "")
+	tr.Phase(PhaseStat{Name: "parse", Seconds: 0.001, Size: 10})
 	if err := tr.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close() = %v, want the writer's error", err)
 	}

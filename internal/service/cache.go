@@ -107,13 +107,15 @@ func (c *Cache) Get(ctx context.Context, src string, opts warp.Options) (prog *w
 	return c.GetObserved(ctx, src, opts, nil)
 }
 
-// GetObserved is Get with a per-request instrumentation recorder: when
-// this caller ends up owning the compilation flight, rec receives the
-// compiler's Phase events (a request-scoped trace turns them into
-// spans).  Singleflight waiters and cache hits see no phases — their
-// request did not compile anything, and saying so is the point of
-// request-scoped tracing.  rec never influences the content address.
-func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, rec obs.Recorder) (prog *warp.Program, key string, hit bool, err error) {
+// GetObserved is Get with a per-request phase sink: when this caller
+// ends up owning the compilation flight, rec receives the compiler's
+// phase events in place of opts.Recorder (a request-scoped trace turns
+// them into spans).  Singleflight waiters and cache hits see no phases
+// — their request did not compile anything, and saying so is the point
+// of request-scoped tracing.  The sink observes the compile only: the
+// cached program does not keep it.  rec never influences the content
+// address.
+func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, rec obs.PhaseSink) (prog *warp.Program, key string, hit bool, err error) {
 	key = Key(src, opts)
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -145,13 +147,10 @@ func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, 
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	if obs.Enabled(rec) {
-		copts := opts
-		copts.Recorder = obs.Multi(opts.Recorder, rec)
-		f.prog, f.err = c.compile(src, copts)
-	} else {
-		f.prog, f.err = c.compile(src, opts)
+	if rec != nil {
+		opts.Recorder = rec
 	}
+	f.prog, f.err = c.compile(src, opts)
 
 	c.mu.Lock()
 	delete(c.flights, key)

@@ -2,31 +2,32 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"warp"
 	"warp/internal/obs"
 	"warp/internal/workloads"
 )
 
-// phaseCounter is an obs.Recorder that counts compiler Phase events by
+// phaseCounter is an obs.PhaseSink that counts compiler phase events by
 // name — the observable proof of how many driver compilations actually
-// ran.  All other events fall through to the no-op recorder.
+// ran.
 type phaseCounter struct {
-	obs.Recorder
 	mu     sync.Mutex
 	counts map[string]int
 }
 
 func newPhaseCounter() *phaseCounter {
-	return &phaseCounter{Recorder: obs.Nop(), counts: map[string]int{}}
+	return &phaseCounter{counts: map[string]int{}}
 }
 
-func (p *phaseCounter) Phase(name string, seconds float64, size int, note string) {
+func (p *phaseCounter) Phase(ph obs.PhaseStat) {
 	p.mu.Lock()
-	p.counts[name]++
+	p.counts[ph.Name]++
 	p.mu.Unlock()
 }
 
@@ -197,4 +198,37 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if s := c.Stats(); s.Misses != 2 {
 		t.Errorf("stats = %+v, want 2 misses", s)
 	}
+}
+
+// TestGetObservedReleasesTrace pins that a request's phase sink only
+// observes the compile: once the request drops its trace, the cached
+// program must not keep it reachable.
+func TestGetObservedReleasesTrace(t *testing.T) {
+	c := NewCache(8, warp.Compile)
+	src := workloads.Polynomial(10, 50)
+	collected := make(chan struct{})
+	func() {
+		tr := obs.NewTrace()
+		runtime.SetFinalizer(tr, func(*obs.Trace) { close(collected) })
+		root := tr.StartSpan("request", nil)
+		if _, _, hit, err := c.GetObserved(context.Background(), src, warp.Options{}, obs.SpanPhases(tr, root)); err != nil || hit {
+			t.Fatalf("GetObserved: hit=%v err=%v, want a compiling miss", hit, err)
+		}
+		root.End()
+		if n := len(tr.Spans()); n < 2 {
+			t.Fatalf("trace recorded %d spans, want the request plus compile phases", n)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if _, ok := c.Lookup(Key(src, warp.Options{})); !ok {
+				t.Fatal("program left the cache")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the request's trace is still reachable after the request dropped it")
 }

@@ -485,7 +485,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // once, program instantiated per bound vector), everything else
 // through the plain compile cache.  rec receives compile or
 // instantiation Phase events when this request does the work.
-func (s *Server) getProgram(ctx context.Context, src string, o CompileOptions, rec obs.Recorder) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
+func (s *Server) getProgram(ctx context.Context, src string, o CompileOptions, rec obs.PhaseSink) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	if o.symbolic() {
 		return s.templates.GetObserved(ctx, src, s.options(o), o.Bounds, rec)
 	}
@@ -507,7 +507,7 @@ func annotateTemplate(sp *obs.Span, d *warp.TemplateDetail) {
 
 // resolve produces the program for a run request, through the cache.
 // rec receives compiler Phase events if this request ends up compiling.
-func (s *Server) resolve(ctx context.Context, req *RunRequest, rec obs.Recorder) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
+func (s *Server) resolve(ctx context.Context, req *RunRequest, rec obs.PhaseSink) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	switch {
 	case req.Program != "" && req.Source != "":
 		return nil, "", false, nil, &httpError{http.StatusBadRequest, "give either program or source, not both"}

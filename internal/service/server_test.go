@@ -25,7 +25,7 @@ type e2eProgram struct {
 	name   string
 	src    string
 	inputs map[string][]float64
-	want   map[string][]float64 // from direct Program.Run
+	want   map[string][]float64 // from direct Program.RunWith
 }
 
 // buildPrograms compiles the three distinct W2 programs directly (no
@@ -53,7 +53,7 @@ func buildPrograms(t *testing.T) []*e2eProgram {
 			}
 			p.inputs[param.Name] = arr
 		}
-		out, _, err := compiled.Run(p.inputs)
+		out, _, err := compiled.RunWith(warp.RunConfig{}, p.inputs)
 		if err != nil {
 			t.Fatalf("%s: direct run: %v", p.name, err)
 		}
@@ -82,7 +82,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 
 // TestServiceEndToEnd drives the acceptance scenario: 16 concurrent
 // clients over 3 distinct programs get outputs identical to direct
-// Program.Run, the cache absorbs all repeats (>= 13 hits), a 1ms
+// Program.RunWith, the cache absorbs all repeats (>= 13 hits), a 1ms
 // deadline times out without wedging a worker, and /metrics is valid
 // Prometheus text exposing the compile/run counters.
 func TestServiceEndToEnd(t *testing.T) {

@@ -140,7 +140,7 @@ func instantiationKey(tmplKey, bk string) string {
 // program was already resident; detail reports how a miss was served
 // (closed forms or concrete fallback).  rec receives the template's
 // phase events when this caller owns the instantiation flight.
-func (tc *TemplateCache) GetObserved(ctx context.Context, src string, opts warp.Options, bounds map[string]int64, rec obs.Recorder) (prog *warp.Program, key string, hit bool, detail *warp.TemplateDetail, err error) {
+func (tc *TemplateCache) GetObserved(ctx context.Context, src string, opts warp.Options, bounds map[string]int64, rec obs.PhaseSink) (prog *warp.Program, key string, hit bool, detail *warp.TemplateDetail, err error) {
 	tmplKey := Key(src, opts)
 	bk := boundsKey(bounds)
 	key = instantiationKey(tmplKey, bk)

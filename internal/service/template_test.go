@@ -107,7 +107,7 @@ func TestServiceSymbolicCompileAndRun(t *testing.T) {
 		}
 		inputs[p.Name] = arr
 	}
-	want, _, err := concrete.Run(inputs)
+	want, _, err := concrete.RunWith(warp.RunConfig{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,13 @@ import (
 // like a concrete compile of the substituted source.  Accepted bounds
 // must produce fingerprint-identical artifacts whether they were served
 // from closed forms or by fallback, and rejected bounds must be
-// rejected by both paths.  Templates are shared across executions via
-// the process registry, so class state accumulated by earlier inputs is
-// itself under test.  A quarter of the draws sample a deep-loop
-// polynomial at sizes on both sides of the verifier's cycle caps, where
-// a rejection must carry the concrete compile's exact error.  The seed
-// corpus runs as a regular test; explore with
+// rejected by both paths.  Templates are shared across executions
+// through a map keyed by (source, pipeline), so class state
+// accumulated by earlier inputs is itself under test.  A quarter of the
+// draws sample a deep-loop polynomial at sizes on both sides of the
+// verifier's cycle caps, where a rejection must carry the concrete
+// compile's exact error.  The seed corpus runs as a regular test;
+// explore with
 // `go test -fuzz=FuzzSymbolicInstantiation ./internal/symbolic`.
 func FuzzSymbolicInstantiation(f *testing.F) {
 	// Seeds 123 and 71 draw the deep-loop polynomial below and above
@@ -29,6 +30,11 @@ func FuzzSymbolicInstantiation(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 123, 71} {
 		f.Add(seed)
 	}
+	type tmplKey struct {
+		src      string
+		pipeline bool
+	}
+	tmpls := map[tmplKey]*Template{}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		var src string
@@ -55,9 +61,14 @@ func FuzzSymbolicInstantiation(f *testing.F) {
 		}
 		opts := driver.Options{Pipeline: rng.Intn(2) == 1, Verify: true}
 
-		tmpl, err := SharedTemplate(src, opts)
-		if err != nil {
-			t.Fatalf("template build: %v\n%s", err, src)
+		key := tmplKey{src, opts.Pipeline}
+		tmpl := tmpls[key]
+		if tmpl == nil {
+			var err error
+			if tmpl, err = CompileTemplate(src, opts); err != nil {
+				t.Fatalf("template build: %v\n%s", err, src)
+			}
+			tmpls[key] = tmpl
 		}
 		conc, cerr := tmpl.Source.Concrete(bounds)
 		if cerr != nil {

@@ -131,7 +131,7 @@ func CompileTemplate(src string, opts driver.Options) (*Template, error) {
 		return nil, err
 	}
 	// Probe compiles are internal (not request events) and concrete.
-	opts.Recorder, opts.Symbolic, opts.Bounds = nil, false, nil
+	opts.Recorder = nil
 	return &Template{Source: s, Opts: opts, classes: map[string]*class{}}, nil
 }
 
@@ -196,7 +196,7 @@ func serveKind(d *Detail) string {
 // template phases ("template-build" when this request builds its
 // class, "template-instantiate" or the fallback's compile phases) are
 // emitted to rec, and the Detail reports how the request was served.
-func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder) (*driver.Compiled, *Detail, error) {
+func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.PhaseSink) (*driver.Compiled, *Detail, error) {
 	start := time.Now()
 	conc, err := t.Source.Concrete(bounds)
 	if err != nil {
@@ -222,8 +222,8 @@ func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder
 		t.buildClass(cls, bounds, period, seed)
 	})
 	if built && rec != nil {
-		obs.RecordPhaseAt(rec, "template-build", 0, float64(cls.buildNS)/1e9, 0,
-			gridSize(len(cls.free)), cls.desc)
+		rec.Phase(obs.PhaseStat{Name: "template-build", Seconds: float64(cls.buildNS) / 1e9,
+			Size: gridSize(len(cls.free)), Note: cls.desc})
 	}
 	if cls.err != nil {
 		return t.fallback(conc, bounds, rec, cls.err.Error())
@@ -244,11 +244,13 @@ func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder
 		return t.fallback(conc, bounds, rec, err.Error())
 	}
 	atomic.AddInt64(&t.instantiations, 1)
-	seconds := time.Since(start).Seconds()
-	c.Phases = append(c.Phases, obs.PhaseStat{
-		Name: "template-instantiate", Seconds: seconds, Size: len(cls.forms), Note: cls.desc,
-	})
-	obs.RecordPhaseAt(rec, "template-instantiate", 0, seconds, 0, len(cls.forms), cls.desc)
+	inst := obs.PhaseStat{
+		Name: "template-instantiate", Seconds: time.Since(start).Seconds(), Size: len(cls.forms), Note: cls.desc,
+	}
+	c.Phases = append(c.Phases, inst)
+	if rec != nil {
+		rec.Phase(inst)
+	}
 	return c, &Detail{Symbolic: true, ClassBuilt: built, Class: cls.desc}, nil
 }
 
@@ -266,7 +268,7 @@ func (t *Template) ModeledCycles(bounds map[string]int64) (int64, error) {
 // fallback serves a request with a concrete compile.  This is the
 // soundness escape hatch: whatever the closed forms cannot express is
 // handled — and accepted or rejected — exactly as a cold compile.
-func (t *Template) fallback(conc string, bounds map[string]int64, rec obs.Recorder, reason string) (*driver.Compiled, *Detail, error) {
+func (t *Template) fallback(conc string, bounds map[string]int64, rec obs.PhaseSink, reason string) (*driver.Compiled, *Detail, error) {
 	atomic.AddInt64(&t.fallbacks, 1)
 	opts := t.Opts
 	opts.Recorder = rec

@@ -3,6 +3,7 @@ package warp_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestObsNeutral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, stats, err := prog.Run(j.inputs())
+			out, stats, err := prog.RunWith(warp.RunConfig{}, j.inputs())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestObsNeutral(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			tout, tstats, err := prog.RunTraced(j.inputs(), &buf)
+			tout, tstats, err := prog.RunWith(warp.RunConfig{Trace: &buf}, j.inputs())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +90,7 @@ func TestObsProfileConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := prog.Run(map[string][]float64{
+	_, stats, err := prog.RunWith(warp.RunConfig{}, map[string][]float64{
 		"a": make([]float64, 100), "bmat": make([]float64, 100),
 	})
 	if err != nil {
@@ -131,18 +132,18 @@ func TestObsProfileConsistent(t *testing.T) {
 	}
 }
 
-// TestRunTracedJSON is the acceptance check on the trace exporter: the
+// TestRunTraceJSON is the acceptance check on the trace exporter: the
 // file parses as JSON and every event carries the ph, ts, pid and tid
 // fields the Perfetto/Chrome trace viewers require.
-func TestRunTracedJSON(t *testing.T) {
+func TestRunTraceJSON(t *testing.T) {
 	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	_, _, err = prog.RunTraced(map[string][]float64{
+	_, _, err = prog.RunWith(warp.RunConfig{Trace: &buf}, map[string][]float64{
 		"a": make([]float64, 100), "bmat": make([]float64, 100),
-	}, &buf)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,5 +186,98 @@ func TestRunTracedJSON(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("phase report missing %q:\n%s", want, rep)
 		}
+	}
+}
+
+// TestRunTraceCompilerTrack checks the trace's compiler process against
+// the program's phase records: every phase of a two-worker verified
+// compile appears once, in order, at its recorded Start on the track of
+// the worker lane that ran it, so concurrent phases draw as the
+// overlapping slices they were.
+func TestRunTraceCompilerTrack(t *testing.T) {
+	prog, err := warp.Compile(workloads.Polynomial(10, 100),
+		warp.Options{Pipeline: true, Verify: true, CompileWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, _, err := prog.RunWith(warp.RunConfig{Trace: &buf}, map[string][]float64{
+		"z": make([]float64, 100), "c": make([]float64, 10),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			PID  int     `json:"pid"`
+			TID  int     `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	phases := prog.Phases()
+	i := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Cat != "compile" {
+			continue
+		}
+		if i == len(phases) {
+			t.Fatalf("extra compile event %q beyond the %d recorded phases", ev.Name, len(phases))
+		}
+		p := phases[i]
+		i++
+		if ev.Name != p.Name || ev.PID != 2 || ev.TID != 1+p.Worker {
+			t.Errorf("compile event %q on pid %d tid %d, want %q on pid 2 tid %d",
+				ev.Name, ev.PID, ev.TID, p.Name, 1+p.Worker)
+		}
+		if math.Abs(ev.TS-p.Start*1e6) > 0.5 {
+			t.Errorf("%s: ts = %.0fµs, want Start %.1fµs", p.Name, ev.TS, p.Start*1e6)
+		}
+		if want := math.Max(1, p.Seconds*1e6); math.Abs(ev.Dur-want) > 0.5 {
+			t.Errorf("%s: dur = %.0fµs, want %.1fµs", p.Name, ev.Dur, want)
+		}
+	}
+	if i != len(phases) {
+		t.Errorf("trace carries %d compile events, want %d (one per phase)", i, len(phases))
+	}
+}
+
+// TestRunTraceDecision pins the backend choice a trace forces: a Chrome
+// trace observes every cycle, so an auto run of a verified program goes
+// to the simulator with reason "cycle-recorder", while the same run
+// untraced takes the fast path.  Partitioned runs reject a trace.
+func TestRunTraceDecision(t *testing.T) {
+	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[string][]float64{"a": make([]float64, 100), "bmat": make([]float64, 100)}
+	var buf bytes.Buffer
+	_, traced, err := prog.RunWith(warp.RunConfig{Trace: &buf}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Backend != warp.BackendSim || traced.Decision.Reason != "cycle-recorder" {
+		t.Errorf("traced auto run: backend %q reason %q, want sim/cycle-recorder",
+			traced.Backend, traced.Decision.Reason)
+	}
+	_, plain, err := prog.RunWith(warp.RunConfig{}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Backend != warp.BackendFast || plain.Decision.Reason != "auto-verified" {
+		t.Errorf("untraced auto run: backend %q reason %q, want fast/auto-verified",
+			plain.Backend, plain.Decision.Reason)
+	}
+	if plain.Cycles != traced.Cycles {
+		t.Errorf("cycles differ: traced %d, untraced %d", traced.Cycles, plain.Cycles)
+	}
+	if _, _, err := prog.RunPartitioned(warp.RunConfig{Trace: &buf},
+		warp.MatmulProblem(20, 20, 20, make([]float64, 400), make([]float64, 400))); err == nil {
+		t.Error("RunPartitioned accepted a Trace")
 	}
 }

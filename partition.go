@@ -2,6 +2,7 @@ package warp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"warp/internal/driver"
@@ -60,10 +61,13 @@ type TileError = fabric.TileError
 // attempt with cfg.TileDeadline, retries livelocked tiles up to
 // cfg.TileRetries times, and fails the job with a *TileError — without
 // hanging — when a tile exhausts its attempts.  The stitched output is
-// keyed by the kernel's out parameter, mirroring Run, and is a pure
+// keyed by the kernel's out parameter, mirroring RunWith, and is a pure
 // function of the problem: identical across runs regardless of tile
 // completion order.
 func (p *Program) RunPartitioned(cfg RunConfig, prob Problem) (map[string][]float64, *FabricStats, error) {
+	if cfg.Trace != nil {
+		return nil, nil, errors.New("warp: RunPartitioned does not support RunConfig.Trace (trace a single-array RunWith instead)")
+	}
 	pl, err := p.partitionPlan(cfg, prob)
 	if err != nil {
 		return nil, nil, err
@@ -73,7 +77,6 @@ func (p *Program) RunPartitioned(cfg RunConfig, prob Problem) (map[string][]floa
 		// a verified kernel runs the whole farm at dataflow speed.
 		out, stats, err := driver.RunWith(p.c, in, driver.RunOptions{
 			Ctx:       ctx,
-			Recorder:  p.rec,
 			MaxCycles: cfg.MaxCycles,
 			Profile:   cfg.Profile,
 			Backend:   cfg.Backend,

@@ -28,7 +28,7 @@ func TestProgressNeutral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, stats, err := prog.Run(j.inputs())
+			out, stats, err := prog.RunWith(warp.RunConfig{}, j.inputs())
 			if err != nil {
 				t.Fatal(err)
 			}

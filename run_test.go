@@ -26,7 +26,7 @@ func polyInputs(n int) map[string][]float64 {
 }
 
 // TestConcurrentRun verifies the documented contract that one compiled
-// *Program is safe for concurrent Run calls: the cache layer hands a
+// *Program is safe for concurrent RunWith calls: the cache layer hands a
 // single *Program to every request for the same content address.  Run
 // under -race (CI does) this doubles as the data-race proof.
 func TestConcurrentRun(t *testing.T) {
@@ -35,7 +35,7 @@ func TestConcurrentRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := polyInputs(100)
-	want, wantStats, err := prog.Run(inputs)
+	want, wantStats, err := prog.RunWith(warp.RunConfig{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestConcurrentRun(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out, rs, err := prog.Run(inputs)
+			out, rs, err := prog.RunWith(warp.RunConfig{}, inputs)
 			if err != nil {
 				errs[g] = err
 				return
@@ -90,9 +90,9 @@ func TestRunContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead: the first poll (cycle 0) must see it
-	_, _, err = prog.RunContext(ctx, polyInputs(100))
+	_, _, err = prog.RunWith(warp.RunConfig{Context: ctx}, polyInputs(100))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext with cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("RunWith with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -105,9 +105,9 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err = prog.RunContext(ctx, polyInputs(100))
+	_, _, err = prog.RunWith(warp.RunConfig{Context: ctx}, polyInputs(100))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunContext with expired deadline: err = %v, want DeadlineExceeded", err)
+		t.Fatalf("RunWith with expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 }
 

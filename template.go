@@ -68,17 +68,20 @@ func (t *Template) Program(bounds map[string]int64) (*Program, error) {
 }
 
 // ProgramDetail instantiates like Program and additionally reports how
-// the request was served (symbolically or by concrete fallback).  rec,
-// when non-nil, receives the instantiation's phase events alongside
-// the Options.Recorder given at CompileTemplate time — the service
-// layer uses it to put template phases on request-scoped traces.
-func (t *Template) ProgramDetail(bounds map[string]int64, rec obs.Recorder) (*Program, *TemplateDetail, error) {
+// the request was served (symbolically or by concrete fallback).  rec
+// receives the instantiation's phase events; nil falls back to the
+// Options.Recorder given at CompileTemplate time.  The service layer
+// uses rec to put template phases on request-scoped traces.
+func (t *Template) ProgramDetail(bounds map[string]int64, rec obs.PhaseSink) (*Program, *TemplateDetail, error) {
+	if rec == nil {
+		rec = t.opts.Recorder
+	}
 	start := time.Now()
-	c, detail, err := t.t.InstantiateObserved(bounds, obs.Multi(t.opts.Recorder, rec))
+	c, detail, err := t.t.InstantiateObserved(bounds, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Program{c: c, rec: t.opts.Recorder, compileTime: time.Since(start)}, detail, nil
+	return &Program{c: c, compileTime: time.Since(start)}, detail, nil
 }
 
 // ModeledCycles evaluates the closed-form cycle prediction for one

@@ -18,7 +18,7 @@
 // A minimal session:
 //
 //	prog, err := warp.Compile(src, warp.Options{})
-//	out, stats, err := prog.Run(map[string][]float64{"z": z, "c": c})
+//	out, stats, err := prog.RunWith(warp.RunConfig{}, map[string][]float64{"z": z, "c": c})
 //
 // See the examples directory for complete programs and internal/skew
 // for the timing theory.
@@ -54,7 +54,7 @@ var ErrUnverified = driver.ErrUnverified
 const (
 	// BackendAuto (also the empty string) picks the fast dataflow
 	// executor when the program is verified and the run requests no
-	// per-cycle observability (no Recorder, no Profile), and the
+	// per-cycle observability (no Trace, no Profile), and the
 	// cycle-accurate simulator otherwise.
 	BackendAuto = driver.BackendAuto
 	// BackendSim forces the cycle-accurate simulator.
@@ -87,24 +87,20 @@ type Options struct {
 	// program is byte-identical at every setting; only compile wall
 	// time varies.
 	CompileWorkers int
-	// Recorder, when set, receives compile-phase events during Compile
-	// and per-cycle simulator events during Run/RunTraced (see
-	// internal/obs).  Leave nil for the zero-overhead default.
-	Recorder obs.Recorder
+	// Recorder, when set, receives one event per compiler phase during
+	// Compile (see internal/obs).  It observes the compilation only;
+	// the Program does not keep it.  Leave nil for the zero-overhead
+	// default.
+	Recorder obs.PhaseSink
 }
 
 // Program is a compiled W2 module.
 //
-// A Program is immutable after Compile: Run and its variants build
-// fresh machine state per call and only read the compiled microcode, so
-// a single Program is safe for concurrent Run/RunContext/RunWith calls
-// from many goroutines.  The one exception is instrumentation — the
-// Recorder passed to Compile (and any passed via RunConfig) receives
-// events from every concurrent run, so it must itself be
-// concurrency-safe; the default nil Recorder is.
+// A Program is immutable after Compile: RunWith builds fresh machine
+// state per call and only reads the compiled microcode, so a single
+// Program is safe for concurrent RunWith calls from many goroutines.
 type Program struct {
 	c           *driver.Compiled
-	rec         obs.Recorder
 	compileTime time.Duration
 }
 
@@ -126,7 +122,7 @@ func Compile(src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{c: c, rec: opts.Recorder, compileTime: time.Since(start)}, nil
+	return &Program{c: c, compileTime: time.Since(start)}, nil
 }
 
 // RunStats reports a simulation run.
@@ -202,8 +198,8 @@ type SchedProfile = prof.SchedProfile
 type DebugMap = prof.DebugMap
 
 // RunConfig controls one execution of a compiled program.  The zero
-// value is Run's behaviour: run to completion with the default livelock
-// guard.
+// value runs to completion with the default livelock guard and no
+// instrumentation.
 type RunConfig struct {
 	// Context, when non-nil, aborts the simulation once it is cancelled
 	// — the run loop polls it every few thousand cycles, so a deadline
@@ -223,10 +219,11 @@ type RunConfig struct {
 	Profile bool
 	// Backend selects the execution backend: BackendAuto (or "") picks
 	// the fast dataflow executor for verified programs when no per-cycle
-	// observability is requested and the simulator otherwise; BackendSim
-	// forces cycle-accurate simulation; BackendFast demands the fast
-	// executor and fails with ErrUnverified when the program was
-	// compiled without Options.Verify.
+	// observability is requested (no Trace, no Profile) and the
+	// simulator otherwise; BackendSim forces cycle-accurate simulation;
+	// BackendFast demands the fast executor and fails with
+	// ErrUnverified when the program was compiled without
+	// Options.Verify.
 	Backend string
 	// Progress, when non-nil, receives coarse position updates while
 	// the run executes — cycles retired (with the modeled total for a
@@ -235,9 +232,16 @@ type RunConfig struct {
 	// the executor's goroutine at a bounded stride and must not block;
 	// nil disables progress reporting at zero cost.
 	Progress ProgressFunc
+	// Trace, when non-nil, receives a Chrome trace-event JSON document
+	// of the run: one track per cell, functional unit and queue, plus
+	// the compiled program's phases on a "compiler" process with one
+	// track per compile worker lane (load it in Perfetto or
+	// chrome://tracing).  Tracing observes every cycle, so it runs on
+	// the simulator.  RunPartitioned rejects it.
+	Trace io.Writer
 
-	// The remaining fields configure RunPartitioned only; the
-	// single-array Run variants ignore them.
+	// The remaining fields configure RunPartitioned only; RunWith
+	// ignores them.
 
 	// Arrays is how many simulated array instances RunPartitioned farms
 	// tiles across concurrently (minimum 1).
@@ -255,55 +259,31 @@ type RunConfig struct {
 	TileRetries int
 }
 
-// Run executes the compiled program on the simulated Warp machine with
-// the given input arrays (keyed by "in" parameter name) and returns the
-// output arrays (keyed by "out" parameter name).
-func (p *Program) Run(inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	return p.runWith(inputs, RunConfig{}, p.rec)
-}
-
-// RunContext runs like Run but aborts when ctx is cancelled (a deadline
-// or a client disconnect), returning an error that wraps ctx.Err().
-func (p *Program) RunContext(ctx context.Context, inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	return p.runWith(inputs, RunConfig{Context: ctx}, p.rec)
-}
-
-// RunWith runs under full run-time configuration: cancellation context
-// and livelock guard.
+// RunWith executes the compiled program on the simulated Warp machine
+// with the given input arrays (keyed by "in" parameter name) under cfg,
+// and returns the output arrays (keyed by "out" parameter name).
 func (p *Program) RunWith(cfg RunConfig, inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	return p.runWith(inputs, cfg, p.rec)
-}
-
-// RunTraced runs like Run but additionally streams a Chrome trace-event
-// JSON document to trace (one track per cell, functional unit and
-// queue; load the file in Perfetto or chrome://tracing).  The compiled
-// program's phase timings appear on a separate "compiler" track.
-func (p *Program) RunTraced(inputs map[string][]float64, trace io.Writer) (map[string][]float64, *RunStats, error) {
-	return p.RunTracedWith(RunConfig{}, inputs, trace)
-}
-
-// RunTracedWith runs like RunTraced under the given run configuration.
-func (p *Program) RunTracedWith(cfg RunConfig, inputs map[string][]float64, trace io.Writer) (map[string][]float64, *RunStats, error) {
-	tracer := obs.NewChromeTracer(trace)
-	for _, ph := range p.c.Phases {
-		tracer.Phase(ph.Name, ph.Seconds, ph.Size, ph.Note)
-	}
-	out, rs, err := p.runWith(inputs, cfg, obs.Multi(p.rec, tracer))
-	if cerr := tracer.Close(); err == nil && cerr != nil {
-		return nil, nil, cerr
-	}
-	return out, rs, err
-}
-
-func (p *Program) runWith(inputs map[string][]float64, cfg RunConfig, rec obs.Recorder) (map[string][]float64, *RunStats, error) {
-	out, stats, err := driver.RunWith(p.c, inputs, driver.RunOptions{
+	o := driver.RunOptions{
 		Ctx:       cfg.Context,
-		Recorder:  rec,
 		MaxCycles: cfg.MaxCycles,
 		Profile:   cfg.Profile,
 		Backend:   cfg.Backend,
 		Progress:  cfg.Progress,
-	})
+	}
+	var tracer *obs.ChromeTracer
+	if cfg.Trace != nil {
+		tracer = obs.NewChromeTracer(cfg.Trace)
+		for _, ph := range p.c.Phases {
+			tracer.Phase(ph)
+		}
+		o.Recorder = tracer
+	}
+	out, stats, err := driver.RunWith(p.c, inputs, o)
+	if tracer != nil {
+		if cerr := tracer.Close(); err == nil && cerr != nil {
+			return nil, nil, cerr
+		}
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -323,16 +303,6 @@ func (p *Program) runWith(inputs map[string][]float64, cfg RunConfig, rec obs.Re
 		rs.Source = prof.BuildSource(p.c.Debug, stats.Obs.PC, stats.Cycles)
 	}
 	return out, rs, nil
-}
-
-// SourceProfile compiles-and-runs in one call: it executes the program
-// with profiling enabled and returns the source-line cycle profile.
-func (p *Program) SourceProfile(inputs map[string][]float64) (*SourceProfile, error) {
-	_, rs, err := p.RunWith(RunConfig{Profile: true}, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Source, nil
 }
 
 // DebugMap returns the compiler's µPC → source mapping for this

@@ -46,7 +46,7 @@ func TestPublicAPI(t *testing.T) {
 	for i := range inputs["c"] {
 		inputs["c"][i] = float64(i + 1)
 	}
-	out, stats, err := prog.Run(inputs)
+	out, stats, err := prog.RunWith(warp.RunConfig{}, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

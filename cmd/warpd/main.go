@@ -69,7 +69,7 @@ func main() {
 		addr      = flag.String("addr", ":8037", "listen address")
 		workers   = flag.Int("workers", 4, "concurrent simulations")
 		queue     = flag.Int("queue", 64, "admission-queue depth beyond the workers")
-		cacheSize = flag.Int("cache", 128, "compiled programs kept resident (LRU)")
+		cacheSize = flag.Int("cache", 128, "compiled programs kept resident (LRU), and separately symbolic templates, each with up to 64 instantiated programs")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-run deadline")
 		maxCycles = flag.Int64("max-cycles", 0, "per-run livelock guard (0 = simulator default, 1<<28)")
 		arrays    = flag.Int("arrays", 2, "default fabric width for partitioned run requests")

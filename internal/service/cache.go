@@ -8,7 +8,6 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -42,20 +41,6 @@ func Key(src string, opts warp.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// flight is one in-progress compilation shared by every concurrent
-// request for the same key.
-type flight struct {
-	done chan struct{} // closed when the compile finishes
-	prog *warp.Program
-	err  error
-}
-
-// entry is one cached compilation in the LRU list.
-type entry struct {
-	key  string
-	prog *warp.Program
-}
-
 // CacheStats is a snapshot of the cache counters.
 type CacheStats struct {
 	Entries   int
@@ -65,101 +50,51 @@ type CacheStats struct {
 }
 
 // Cache is a content-addressed LRU compile cache with singleflight
-// deduplication: concurrent Get calls for the same key wait on a single
+// deduplication: concurrent calls for the same key wait on a single
 // compilation instead of compiling redundantly.  Compilation errors are
 // never cached — the next request retries.
 type Cache struct {
 	compile CompileFunc
-	max     int
 
-	mu      sync.Mutex
-	lru     *list.List // front = most recent; values are *entry
-	byKey   map[string]*list.Element
-	flights map[string]*flight
-	stats   CacheStats
+	mu    sync.Mutex
+	progs *lru[*warp.Program]
+	stats CacheStats
 }
 
 // NewCache builds a cache holding at most max compiled programs,
 // compiling misses with the given function (nil means warp.Compile).
 func NewCache(max int, compile CompileFunc) *Cache {
-	if max < 1 {
-		max = 1
-	}
 	if compile == nil {
 		compile = warp.Compile
 	}
-	return &Cache{
-		compile: compile,
-		max:     max,
-		lru:     list.New(),
-		byKey:   map[string]*list.Element{},
-		flights: map[string]*flight{},
-	}
+	c := &Cache{compile: compile}
+	c.progs = newLRU[*warp.Program](&c.mu, max, &c.stats, nil)
+	return c
 }
 
-// Get returns the compiled program for (src, opts), compiling it at
-// most once no matter how many goroutines ask concurrently.  The
+// GetObserved returns the compiled program for (src, opts), compiling
+// it at most once no matter how many goroutines ask concurrently.  The
 // returned key is the program's content address (usable with Lookup);
 // hit reports whether the program came from the cache rather than a
 // fresh compilation.  ctx bounds only this caller's wait — an abandoned
 // compilation still completes and populates the cache for others.
-func (c *Cache) Get(ctx context.Context, src string, opts warp.Options) (prog *warp.Program, key string, hit bool, err error) {
-	return c.GetObserved(ctx, src, opts, nil)
-}
-
-// GetObserved is Get with a per-request phase sink: when this caller
-// ends up owning the compilation flight, rec receives the compiler's
-// phase events in place of opts.Recorder (a request-scoped trace turns
-// them into spans).  Singleflight waiters and cache hits see no phases
-// — their request did not compile anything, and saying so is the point
-// of request-scoped tracing.  The sink observes the compile only: the
-// cached program does not keep it.  rec never influences the content
-// address.
+//
+// rec is a per-request phase sink: when this caller ends up owning the
+// compilation, rec receives the compiler's phase events in place of
+// opts.Recorder (a request-scoped trace turns them into spans).
+// Singleflight waiters and cache hits see no phases — their request did
+// not compile anything, and saying so is the point of request-scoped
+// tracing.  The sink observes the compile only: the cached program does
+// not keep it.  rec never influences the content address.
 func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, rec obs.PhaseSink) (prog *warp.Program, key string, hit bool, err error) {
 	key = Key(src, opts)
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		prog = el.Value.(*entry).prog
-		c.mu.Unlock()
-		return prog, key, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		// Someone else is compiling this key: wait for it and treat
-		// the shared result as a hit for this caller.
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, key, false, ctx.Err()
-		}
-		if f.err != nil {
-			return nil, key, false, f.err
-		}
-		c.mu.Lock()
-		c.stats.Hits++
-		c.mu.Unlock()
-		return f.prog, key, true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.stats.Misses++
-	c.mu.Unlock()
-
 	if rec != nil {
 		opts.Recorder = rec
 	}
-	f.prog, f.err = c.compile(src, opts)
-
 	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insertLocked(key, f.prog)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.prog, key, false, f.err
+	defer c.mu.Unlock()
+	prog, hit, err = c.progs.get(ctx, key, func() (*warp.Program, error) { return c.compile(src, opts) })
+	return prog, key, hit, err
 }
 
 // Lookup returns the cached program for a content address, if present,
@@ -168,31 +103,7 @@ func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, 
 func (c *Cache) Lookup(key string) (*warp.Program, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*entry).prog, true
-}
-
-// insertLocked adds a freshly compiled program, evicting from the LRU
-// tail.  Caller holds c.mu.
-func (c *Cache) insertLocked(key string, prog *warp.Program) {
-	if el, ok := c.byKey[key]; ok {
-		// A racing flight for the same key already landed; keep the
-		// incumbent (identical by construction) and refresh it.
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.lru.PushFront(&entry{key: key, prog: prog})
-	for c.lru.Len() > c.max {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.byKey, tail.Value.(*entry).key)
-		c.stats.Evictions++
-	}
+	return c.progs.lookup(key)
 }
 
 // Stats snapshots the cache counters.
@@ -200,18 +111,6 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = c.lru.Len()
+	s.Entries = c.progs.len()
 	return s
-}
-
-// Keys returns the cached content addresses, most recently used first
-// (diagnostic; order is the eviction order reversed).
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
-	}
-	return keys
 }

@@ -71,7 +71,7 @@ func TestDebugRequestsEndToEnd(t *testing.T) {
 
 	src := workloads.Polynomial(10, 64)
 	inputs := map[string][]float64{}
-	prog, _, _, err := svc.cache.Get(context.Background(), src, CompileOptions{}.warpOptions())
+	prog, _, _, err := svc.cache.GetObserved(context.Background(), src, CompileOptions{}.warpOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

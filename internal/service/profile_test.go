@@ -39,7 +39,7 @@ func TestProfileDownload(t *testing.T) {
 
 	src := workloads.Polynomial(4, 16)
 	inputs := map[string][]float64{}
-	prog, _, _, err := svc.cache.Get(context.Background(), src, CompileOptions{}.warpOptions())
+	prog, _, _, err := svc.cache.GetObserved(context.Background(), src, CompileOptions{}.warpOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

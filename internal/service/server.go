@@ -26,8 +26,8 @@ type Config struct {
 	// QueueCap is the admission-queue depth beyond the workers; a full
 	// queue turns new run requests away with 429 (default 64).
 	QueueCap int
-	// CacheSize is the number of compiled programs kept resident
-	// (default 128).
+	// CacheSize is the number of compiled programs kept resident, and
+	// separately the number of symbolic templates (default 128).
 	CacheSize int
 	// DefaultTimeout bounds a run request that names no deadline of its
 	// own (default 30s).
@@ -59,10 +59,6 @@ type Config struct {
 	// (nil = warp.CompileTemplate); tests use it to count template
 	// builds behind the template cache.
 	CompileTemplate TemplateCompileFunc
-	// TemplatePrograms caps how many instantiated programs each
-	// resident template keeps (default 64); the template count itself
-	// is bounded by CacheSize.
-	TemplatePrograms int
 	// Logger receives one structured record per served request (ID,
 	// outcome, span durations).  nil discards.
 	Logger *slog.Logger
@@ -71,6 +67,10 @@ type Config struct {
 	// tracing entirely).
 	FlightSize int
 }
+
+// templatePrograms caps how many instantiated programs each resident
+// template keeps; the template count itself is bounded by CacheSize.
+const templatePrograms = 64
 
 // Server is the compile-and-run service: an http.Handler in front of
 // the compile cache and the simulation worker pool.
@@ -124,12 +124,9 @@ func New(cfg Config) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.TemplatePrograms == 0 {
-		cfg.TemplatePrograms = 64
-	}
 	s := &Server{
 		cache:     NewCache(cfg.CacheSize, cfg.Compile),
-		templates: NewTemplateCache(cfg.CacheSize, cfg.TemplatePrograms, cfg.CompileTemplate),
+		templates: NewTemplateCache(cfg.CacheSize, templatePrograms, cfg.CompileTemplate),
 		pool:      NewPool(cfg.Workers, cfg.QueueCap),
 		metrics:   NewMetrics(),
 		cfg:       cfg,
@@ -440,11 +437,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := s.beginRequest("/compile")
 	start := time.Now()
-	cacheSpan := rc.tr.StartSpan("cache", rc.root)
-	prog, key, hit, detail, err := s.getProgram(r.Context(), req.Source, req.Options,
-		obs.SpanPhases(rc.tr, cacheSpan))
+	prog, err := s.resolve(r.Context(), rc, &RunRequest{Source: req.Source, Options: req.Options})
 	if err != nil {
-		cacheSpan.End()
 		if isVerifyError(err) {
 			s.metrics.Compile("rejected", time.Since(start).Seconds())
 		} else {
@@ -454,43 +448,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	cacheSpan.Annotate("result", cacheResult(hit))
-	if detail != nil {
-		annotateTemplate(cacheSpan, detail)
-	}
-	cacheSpan.End()
-	rc.program, rc.cached, rc.template = key, hit, detail
-	s.metrics.Compile(cacheResult(hit), time.Since(start).Seconds())
-	if !hit {
-		s.metrics.CompilePhases(prog.Phases())
-		s.metrics.CompileSched(prog.Sched().Totals())
-	}
+	s.metrics.Compile(cacheResult(rc.cached), time.Since(start).Seconds())
 	s.finishRequest(rc, nil)
 	resp := CompileResponse{
-		Program:  key,
-		Cached:   hit,
+		Program:  rc.program,
+		Cached:   rc.cached,
 		Module:   prog.Metrics().Name,
 		Cells:    prog.Cells(),
 		Skew:     prog.Skew(),
-		Template: detail,
+		Template: rc.template,
 	}
 	for _, p := range prog.Params() {
 		resp.Params = append(resp.Params, ParamJSON{Name: p.Name, Out: p.Out, Size: p.Size})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// getProgram resolves (source, options) through the right cache:
-// symbolic requests go through the template cache (template compiled
-// once, program instantiated per bound vector), everything else
-// through the plain compile cache.  rec receives compile or
-// instantiation Phase events when this request does the work.
-func (s *Server) getProgram(ctx context.Context, src string, o CompileOptions, rec obs.PhaseSink) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
-	if o.symbolic() {
-		return s.templates.GetObserved(ctx, src, s.options(o), o.Bounds, rec)
-	}
-	prog, key, hit, err := s.cache.GetObserved(ctx, src, s.options(o), rec)
-	return prog, key, hit, nil, err
 }
 
 // annotateTemplate stamps how a symbolic request was served onto its
@@ -505,9 +476,38 @@ func annotateTemplate(sp *obs.Span, d *warp.TemplateDetail) {
 	}
 }
 
-// resolve produces the program for a run request, through the cache.
-// rec receives compiler Phase events if this request ends up compiling.
-func (s *Server) resolve(ctx context.Context, req *RunRequest, rec obs.PhaseSink) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
+// resolve produces the program for a request through the caches under
+// the request's "cache" span.  On success the span and the request
+// record take the content address, the hit/miss result and how a
+// template served it; a miss, which compiled, also feeds the per-phase
+// and scheduler metrics.
+func (s *Server) resolve(ctx context.Context, rc *requestCtx, req *RunRequest) (*warp.Program, error) {
+	sp := rc.tr.StartSpan("cache", rc.root)
+	prog, key, hit, detail, err := s.fetch(ctx, req, obs.SpanPhases(rc.tr, sp))
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	sp.Annotate("result", cacheResult(hit))
+	if detail != nil {
+		annotateTemplate(sp, detail)
+	}
+	sp.End()
+	rc.program, rc.cached, rc.template = key, hit, detail
+	if !hit {
+		s.metrics.CompilePhases(prog.Phases())
+		s.metrics.CompileSched(prog.Sched().Totals())
+	}
+	return prog, nil
+}
+
+// fetch finds a request's program: by content address in either cache,
+// or from source — symbolic requests through the template cache
+// (template compiled once, program instantiated per bound vector),
+// everything else through the plain compile cache.  rec receives
+// compile or instantiation Phase events when this request does the
+// work.
+func (s *Server) fetch(ctx context.Context, req *RunRequest, rec obs.PhaseSink) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	switch {
 	case req.Program != "" && req.Source != "":
 		return nil, "", false, nil, &httpError{http.StatusBadRequest, "give either program or source, not both"}
@@ -523,8 +523,11 @@ func (s *Server) resolve(ctx context.Context, req *RunRequest, rec obs.PhaseSink
 				fmt.Sprintf("unknown or evicted program %q; POST /compile again", req.Program)}
 		}
 		return prog, req.Program, true, nil, nil
+	case req.Source != "" && req.Options.symbolic():
+		return s.templates.GetObserved(ctx, req.Source, s.options(req.Options), req.Options.Bounds, rec)
 	case req.Source != "":
-		return s.getProgram(ctx, req.Source, req.Options, rec)
+		prog, key, hit, err := s.cache.GetObserved(ctx, req.Source, s.options(req.Options), rec)
+		return prog, key, hit, nil, err
 	}
 	return nil, "", false, nil, &httpError{http.StatusBadRequest, "missing program or source"}
 }
@@ -545,24 +548,13 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 	// Whatever path the request dies on, the progress stream must end
 	// with a terminal event (a no-op when the run delivered its own).
 	defer ent.finish()
-	cacheSpan := rc.tr.StartSpan("cache", rc.root)
-	prog, key, hit, detail, err := s.resolve(ctx, req, obs.SpanPhases(rc.tr, cacheSpan))
+	prog, err := s.resolve(ctx, rc, req)
 	if err != nil {
-		cacheSpan.End()
 		s.metrics.Run("error", "", 0, obsSummaryZero)
 		s.finishRequest(rc, err)
 		return nil, err
 	}
-	cacheSpan.Annotate("result", cacheResult(hit))
-	if detail != nil {
-		annotateTemplate(cacheSpan, detail)
-	}
-	cacheSpan.End()
-	rc.program, rc.cached, rc.template = key, hit, detail
-	if !hit {
-		s.metrics.CompilePhases(prog.Phases())
-		s.metrics.CompileSched(prog.Sched().Totals())
-	}
+	key, hit := rc.program, rc.cached
 
 	maxCycles := s.cfg.MaxCycles
 	if req.MaxCycles > 0 {

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -47,8 +50,8 @@ func TestServiceSymbolicCompileAndRun(t *testing.T) {
 	if err := json.Unmarshal(body, &cr8); err != nil {
 		t.Fatal(err)
 	}
-	if cr8.Template == nil || !cr8.Template.Symbolic {
-		t.Fatalf("n=8 response template detail = %+v, want symbolic", cr8.Template)
+	if cr8.Template == nil || !cr8.Template.Symbolic || !cr8.Template.ClassBuilt {
+		t.Fatalf("n=8 response template detail = %+v, want symbolic with the class built", cr8.Template)
 	}
 
 	// A second bound vector in the same residue class instantiates from
@@ -74,10 +77,12 @@ func TestServiceSymbolicCompileAndRun(t *testing.T) {
 		t.Fatalf("template built %d times for one (source, options) pair, want 1", got)
 	}
 
-	// Repeat is a cache hit on the instantiated program.
+	// Repeating the first bound vector is a cache hit on the
+	// instantiated program, and does not claim the class build that the
+	// first request paid for.
 	resp, body = postJSON(t, client, ts.URL+"/compile", CompileRequest{
 		Source:  src,
-		Options: CompileOptions{Bounds: map[string]int64{"n": 14}},
+		Options: CompileOptions{Bounds: map[string]int64{"n": 8}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat compile: status %d: %s", resp.StatusCode, body)
@@ -86,8 +91,11 @@ func TestServiceSymbolicCompileAndRun(t *testing.T) {
 	if err := json.Unmarshal(body, &crRepeat); err != nil {
 		t.Fatal(err)
 	}
-	if !crRepeat.Cached || crRepeat.Program != cr14.Program {
-		t.Fatalf("repeat compile: cached=%v program=%s, want hit on %s", crRepeat.Cached, crRepeat.Program, cr14.Program)
+	if !crRepeat.Cached || crRepeat.Program != cr8.Program {
+		t.Fatalf("repeat compile: cached=%v program=%s, want hit on %s", crRepeat.Cached, crRepeat.Program, cr8.Program)
+	}
+	if strings.Contains(string(body), "class_built") {
+		t.Fatalf("repeat compile reports class_built: %s", body)
 	}
 
 	// The instantiated program runs by its content address, and the
@@ -299,5 +307,107 @@ func TestFabricTilesShareTemplate(t *testing.T) {
 	}
 	if tcs := svc.TemplateCacheStats(); tcs.Templates != 1 {
 		t.Fatalf("%d templates after partitioned run, want 1", tcs.Templates)
+	}
+}
+
+// variant is a distinct template: MatmulSym under its own content
+// address.
+func variant(i int) string { return workloads.MatmulSym() + fmt.Sprintf("/* variant %d */\n", i) }
+
+// instantiate asks tc for template src at n (no verification, so the
+// probe compiles stay cheap).
+func instantiate(t *testing.T, tc *TemplateCache, src string, n int64) string {
+	t.Helper()
+	_, key, _, _, err := tc.GetObserved(context.Background(), src, warp.Options{}, map[string]int64{"n": n}, nil)
+	if err != nil {
+		t.Fatalf("n=%d: %v", n, err)
+	}
+	return key
+}
+
+// TestTemplateCacheBuildsTemplateOnce holds concurrent first requests
+// for different bound vectors of one template at a gate: the template
+// must be built once and shared, not built per request.
+func TestTemplateCacheBuildsTemplateOnce(t *testing.T) {
+	const callers = 4
+	arrived := make(chan struct{}, callers) // one arrival per caller
+	release := make(chan struct{})
+	var builds atomic.Int32
+	tc := NewTemplateCache(8, 64, func(src string, opts warp.Options) (*warp.Template, error) {
+		builds.Add(1)
+		arrived <- struct{}{}
+		<-release
+		return warp.CompileTemplate(src, opts)
+	})
+	// Every caller arrives either inside the template build or, calling
+	// Done, waiting on another's.
+	ctx := arrivalCtx{context.Background(), arrived}
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(n int64) {
+			defer wg.Done()
+			_, _, _, _, err := tc.GetObserved(ctx, workloads.MatmulSym(), warp.Options{}, map[string]int64{"n": n}, nil)
+			errs <- err
+		}(int64(8 + 6*i))
+	}
+	for i := 0; i < callers; i++ {
+		<-arrived
+	}
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("template built %d times for %d concurrent first requests, want 1", n, callers)
+	}
+	if s := tc.Stats(); s.Templates != 1 || s.Programs != callers || s.Misses != callers {
+		t.Errorf("stats = %+v, want 1 template, %d programs, %d misses", s, callers, callers)
+	}
+}
+
+// TestTemplateCacheEvictionDropsPrograms proves evicting a template
+// drops every program instantiated from it, each counted as an
+// eviction.
+func TestTemplateCacheEvictionDropsPrograms(t *testing.T) {
+	tc := NewTemplateCache(1, 64, nil)
+	k8 := instantiate(t, tc, variant(0), 8)
+	k14 := instantiate(t, tc, variant(0), 14)
+	other := instantiate(t, tc, variant(1), 8)
+	for _, k := range []string{k8, k14} {
+		if _, ok := tc.Lookup(k); ok {
+			t.Errorf("program %s outlived its evicted template", k)
+		}
+	}
+	if _, ok := tc.Lookup(other); !ok {
+		t.Error("the resident template's program is missing")
+	}
+	if s := tc.Stats(); s.Templates != 1 || s.Programs != 1 || s.Evictions != 2 {
+		t.Errorf("stats = %+v, want 1 template, 1 program, 2 evictions", s)
+	}
+}
+
+// TestTemplateCacheLookupRefreshes proves Lookup refreshes both the
+// template and the instantiation: the looked-up program survives the
+// next template eviction and the next per-template eviction.
+func TestTemplateCacheLookupRefreshes(t *testing.T) {
+	tc := NewTemplateCache(2, 2, nil)
+	a8 := instantiate(t, tc, variant(0), 8)
+	a14 := instantiate(t, tc, variant(0), 14)
+	b8 := instantiate(t, tc, variant(1), 8)
+	if _, ok := tc.Lookup(a8); !ok {
+		t.Fatal("a8 missing before eviction")
+	}
+	instantiate(t, tc, variant(2), 8)  // evicts template 1, not template 0
+	instantiate(t, tc, variant(0), 20) // evicts a14, not a8
+	for k, want := range map[string]bool{a8: true, a14: false, b8: false} {
+		if _, ok := tc.Lookup(k); ok != want {
+			t.Errorf("Lookup(%s) resident=%v, want %v", k, ok, want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the warpd daemon: start it, compile and run the
 # Figure 4-1 polynomial program over HTTP, assert the second compile is
-# a cache hit, and scrape /metrics.  Needs curl and jq.
+# a cache hit, scrape /metrics, and serve a symbolic matmul template at
+# two sizes.  Needs curl and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,6 +117,35 @@ echo "$METRICS" | grep -q 'warpd_decision_total{' ||
 echo "$METRICS" | grep -q 'warpd_prediction_error_ratio_count{' ||
   { echo "FAIL: /metrics has no prediction-error series" >&2; exit 1; }
 echo "metrics: ok (incl. latency histograms + decision audit)"
+
+# Symbolic leg: one template serves matmul at two sizes.  Repeating the
+# first size is a hit that claims no class build (the first request paid
+# for it); the second size runs by its content address alone.  Runs after
+# the compile-hit assertion above, which these compiles would bump.
+go run ./scripts/dumpw2 -symbolic -dir "$TMP/sym" >/dev/null
+sym_compile() {
+  jq -Rs --argjson n "$1" '{source: ., options: {bounds: {n: $n}}}' "$TMP/sym/matmul-sym.w2" |
+    curl -sf -X POST --data @- "$BASE/compile"
+}
+SYM8=$(sym_compile 8)
+SYM14=$(sym_compile 14)
+SYM8R=$(sym_compile 8)
+echo "$SYM8" | jq -e '.cached == false and .template.symbolic' >/dev/null ||
+  { echo "FAIL: symbolic n=8 compile was not a symbolic miss: $SYM8" >&2; exit 1; }
+echo "$SYM14" | jq -e '.cached == false and .template.symbolic' >/dev/null ||
+  { echo "FAIL: symbolic n=14 compile was not a symbolic miss: $SYM14" >&2; exit 1; }
+echo "$SYM8R" | jq -e '.cached == true and (.template | has("class_built") | not)' >/dev/null ||
+  { echo "FAIL: repeat n=8 compile is not a hit free of class_built: $SYM8R" >&2; exit 1; }
+PROG14=$(echo "$SYM14" | jq -r .program)
+NC=$(jq -n --arg p "$PROG14" '{program: $p, inputs: {a: [range(196)|./14], bmat: [range(196)|./15]}}' |
+  curl -sf -X POST --data @- "$BASE/run" | jq -r '.outputs.c | length')
+[ "$NC" -eq 196 ] || { echo "FAIL: run of the n=14 instantiation returned |c|=$NC, want 196" >&2; exit 1; }
+METRICS=$(curl -sf "$BASE/metrics")
+echo "$METRICS" | grep -q '^warpd_template_entries 1$' ||
+  { echo "FAIL: /metrics does not report exactly one resident template" >&2; exit 1; }
+echo "$METRICS" | grep -q '^warpd_template_hits_total [1-9]' ||
+  { echo "FAIL: /metrics reports no template-cache hit" >&2; exit 1; }
+echo "symbolic: n=8 and n=14 from one template, repeat hit without class_built, run by address ok"
 
 kill -TERM "$WARPD_PID"
 wait "$WARPD_PID"
